@@ -5,13 +5,14 @@ Builds the six networks the paper evaluates, derives each one's training
 flops, DRAM traffic and operational intensity under the cluster's 64 kB
 TCDM tiling constraints, and evaluates the energy efficiency of every NTX
 configuration (16x…512x clusters in 22 nm and 14 nm) against the published
-GPU and accelerator baselines.
+GPU and accelerator baselines.  The Table II and Figure 6 artifacts are
+printed exactly as ``python -m repro.eval table2 fig6`` prints them.
 
 Run with ``python examples/dnn_training_efficiency.py``.
 """
 
 from repro.dnn import PAPER_NETWORKS, TrainingWorkload, build_network
-from repro.eval import fig6, table2
+from repro.report import render_artifact, run_report
 
 
 def main() -> None:
@@ -27,11 +28,9 @@ def main() -> None:
             f"OI {summary['operational_intensity']:5.2f} flop/B"
         )
 
-    print("\n=== Table II: training energy efficiency (Gop/s W) ===")
-    print(table2.format_results())
-
-    print("\n=== Figure 6: NTX vs GPUs and NeuroStream ===")
-    print(fig6.format_results())
+    for result in run_report(["table2", "fig6"]):
+        print()
+        print(render_artifact(result))
 
 
 if __name__ == "__main__":

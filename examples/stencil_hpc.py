@@ -15,7 +15,6 @@ import numpy as np
 
 from repro import Cluster
 from repro.cluster.sim import ClusterSimulator
-from repro.eval import greenwave
 from repro.kernels import (
     laplace_spec,
     diffusion_spec,
@@ -29,6 +28,7 @@ from repro.kernels.stencil import (
     laplace_3d_reference,
 )
 from repro.perf import KernelExecutionModel, RooflineModel
+from repro.report import render_artifact, run_report
 
 
 def main() -> None:
@@ -80,8 +80,8 @@ def main() -> None:
         f"achieved {summary['gflops']:.1f} Gflop/s (paper practical max ~17.4)"
     )
 
-    print("\n=== Green Wave comparison (§IV) ===")
-    print(greenwave.format_results())
+    print()
+    print(render_artifact(run_report(["greenwave"])[0]))
 
 
 if __name__ == "__main__":

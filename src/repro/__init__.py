@@ -25,9 +25,10 @@ Reduction Workloads in 22 nm FD-SOI" by Schuiki, Schaffner and Benini:
 * :mod:`repro.scenarios` — declarative workload scenarios: serializable
   specs, a named registry, and workload families built, run and verified
   against NumPy golden models.
-* :mod:`repro.eval` — one harness per paper table/figure plus the
-  ``python -m repro.eval`` command line (including ``scenario list/run``
-  and ``submit``, which talks to a running daemon).
+* :mod:`repro.eval` — the analytic harnesses behind the paper artifacts
+  of :mod:`repro.report`, plus the ``python -m repro.eval`` command line
+  (including ``report``, ``scenario list/run`` and ``submit``, which
+  talks to a running daemon).
 * :mod:`repro.options` — :class:`ExecutionOptions`, the one serializable
   object carrying every execution knob through all of the above.
 * :mod:`repro.server` — the simulation-as-a-service daemon

@@ -3,7 +3,7 @@
 Three suites cover the repository's hot paths:
 
 * ``cluster`` — the cycle-level engine itself (the single-cluster path
-  behind ``benchmarks/test_cluster_utilization.py``): one convolution tile
+  behind the §III-C claims in ``tests/test_cluster_sim.py``): one convolution tile
   simulated cycle by cycle, once per registered engine (quick mode keeps
   only the default engine; the scalar golden engine joins in full mode).
 * ``system`` — the scale-out path: a tiled convolution workload on the

@@ -54,7 +54,7 @@ from repro.campaign.spec import CampaignPoint, SweepSpec, point_id
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.obs.logs import get_logger
-from repro.options import UNSET, ExecutionOptions, merge_legacy_options, parse_shard
+from repro.options import ExecutionOptions, parse_shard
 from repro.scenarios.runner import ScenarioOutcome, run_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.system.memo import TileTimingCache
@@ -243,8 +243,6 @@ def run_campaign(
     campaign: Union[str, SweepSpec],
     store_path: Optional[Path | str] = None,
     options: Optional[ExecutionOptions] = None,
-    quick=UNSET,
-    workers=UNSET,
     max_points: Optional[int] = None,
     on_point: Optional[Callable[[Dict[str, Any], bool], None]] = None,
     timing_cache: Optional[TileTimingCache] = None,
@@ -260,9 +258,7 @@ def run_campaign(
     toggles batched cache-hit replay per point, and non-default
     ``engine``/``parallel``/``memoize`` values override the *base*
     scenario before expansion — which changes the expanded point ids,
-    exactly as editing the sweep definition would.  The bare
-    ``quick``/``workers`` keywords are the deprecated spelling and keep
-    working through the shim.
+    exactly as editing the sweep definition would.
 
     ``max_points`` caps how many pending points this call executes (the
     rest stay pending for the next call).  ``on_point(record, fresh)``
@@ -286,9 +282,7 @@ def run_campaign(
     """
     from repro.campaign.store import ResultStore
 
-    options = merge_legacy_options(
-        options, "run_campaign", quick=quick, workers=workers
-    )
+    options = options or ExecutionOptions()
     sweep = get_campaign(campaign) if isinstance(campaign, str) else campaign
     base_overrides = options.spec_overrides()
     if base_overrides:

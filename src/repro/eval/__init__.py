@@ -1,30 +1,22 @@
-"""Experiment harnesses — one module per table/figure of the paper.
+"""Analytic experiment harnesses — one module per analytic table/figure.
 
 Every harness exposes a ``run()`` function returning a structured result
 (dictionaries / dataclasses with both the paper's reported value and the
-model's value where applicable) and a ``format_table()`` helper used by the
-benchmarks and the examples to print the same rows the paper reports.
-
-The harnesses remain the backward-compatible computation surface; the
-canonical regeneration path is the paper-artifact pipeline of
-:mod:`repro.report`, where each table/figure is a registered artifact
-whose measured numbers come from golden-verified campaign runs and whose
-rendered form is assembled into ``docs/paper_results.md`` by
-``python -m repro.eval report --all``.
+model's value where applicable).  The harnesses are the computation
+behind the analytic artifacts of :mod:`repro.report`, which is the only
+description of the paper's artefacts: ``python -m repro.eval <name>``
+prints one of them and ``python -m repro.eval report --all --quick``
+assembles them all into ``docs/paper_results.md``.
 """
 
-from repro.eval import table1, table2, fig3b, fig5, fig6, fig7, precision, greenwave, system
-from repro.eval.report import format_table
+from repro.eval import table1, table2, fig5, fig6, fig7, precision, greenwave
 
 __all__ = [
     "table1",
     "table2",
-    "fig3b",
     "fig5",
     "fig6",
     "fig7",
     "precision",
     "greenwave",
-    "system",
-    "format_table",
 ]

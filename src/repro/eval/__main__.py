@@ -2,9 +2,9 @@
 
 Usage::
 
-    python -m repro.eval                     # run every experiment
-    python -m repro.eval table2              # run a single experiment
-    python -m repro.eval --list              # list the available experiments
+    python -m repro.eval                     # print every paper artifact
+    python -m repro.eval table2              # print one artifact (= report table2)
+    python -m repro.eval --list              # list the artifacts (= report --list)
     python -m repro.eval scenario list       # list the registered scenarios
     python -m repro.eval scenario run NAME   # run one scenario end to end
     python -m repro.eval campaign list       # list the registered campaigns
@@ -18,11 +18,15 @@ Usage::
     python -m repro.eval submit campaign NAME --quick  # (python -m repro.server)
     python -m repro.eval scenario run NAME --trace-out trace.json  # Perfetto
     python -m repro.eval trace spans.jsonl   # span JSONL -> Chrome trace
-    python -m repro.eval --help              # per-experiment descriptions and
-                                             # the figure/table each reproduces
+    python -m repro.eval --help              # the registries and the figure/table
+                                             # each artifact reproduces
 
-The help epilog is generated from the experiment table, the engine
-registry (:mod:`repro.cluster.engine`), the scenario registry
+Without a subcommand the CLI is a thin route into ``report``: the
+artifact registry of :mod:`repro.report` is the only description of the
+paper's tables and figures.
+
+The help epilog is generated from the engine registry
+(:mod:`repro.cluster.engine`), the scenario registry
 (:mod:`repro.scenarios`), the campaign registry (:mod:`repro.campaign`)
 and the artifact registry (:mod:`repro.report`), so it can never drift
 from what is actually runnable.  The parsers themselves are exposed as
@@ -31,7 +35,7 @@ from what is actually runnable.  The parsers themselves are exposed as
 prose.
 
 Execution flags (``--engine/--parallel/--no-memoize/--no-batch/
---workers/--quick``) are no longer hand-copied per subcommand: they are
+--workers/--quick``) are not hand-copied per subcommand: they are
 derived from the :class:`~repro.options.ExecutionOptions` fields by
 :func:`add_execution_flags` and parsed back into one options object by
 :func:`options_from_args`, so the CLI surface cannot drift from the
@@ -42,10 +46,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Callable, Dict, Sequence
+from typing import Dict, Sequence
 
 from repro.campaign import (
     analyze_records,
@@ -58,17 +61,6 @@ from repro.campaign import (
 from repro.campaign.store import ResultStore, ResultStoreError, merge_stores
 from repro.cluster.engine import available_engines, describe_engines
 from repro import obs
-from repro.eval import (
-    fig3b,
-    fig5,
-    fig6,
-    fig7,
-    greenwave,
-    precision,
-    system,
-    table1,
-    table2,
-)
 from repro.options import ExecutionOptions
 from repro.scenarios import format_outcome, iter_scenarios, run_scenario
 
@@ -78,7 +70,6 @@ _LOG = obs.get_logger("cli")
 def add_execution_flags(
     parser: argparse.ArgumentParser,
     include: Sequence[str] = ("engine", "parallel", "memoize", "batch"),
-    help_prefix: str = "",
 ) -> None:
     """Add the command-line flags derived from :class:`ExecutionOptions`.
 
@@ -91,7 +82,7 @@ def add_execution_flags(
     known = {f.name: f for f in dataclass_fields(ExecutionOptions)}
     for name in include:
         spec = known[name]
-        help_text = help_prefix + spec.metadata["cli"]
+        help_text = spec.metadata["cli"]
         if name == "engine":
             parser.add_argument(
                 "--engine", choices=available_engines(), help=help_text
@@ -137,78 +128,14 @@ def options_from_args(args: argparse.Namespace) -> ExecutionOptions:
     return ExecutionOptions(**values)
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """One runnable harness and the paper artefact it reproduces."""
-
-    description: str
-    reproduces: str
-    formatter: Callable[..., str]
-    #: Whether the formatter accepts the system-engine options
-    #: (``--parallel``/``--no-memoize``/``--no-batch``).
-    takes_engine_options: bool = False
-
-
-EXPERIMENTS: Dict[str, Experiment] = {
-    "table1": Experiment(
-        "cluster figures of merit (peak compute, bandwidth, balance)",
-        "Table I",
-        table1.format_results,
-    ),
-    "table2": Experiment(
-        "DNN training energy efficiency of the NTX (n x) configurations",
-        "Table II",
-        table2.format_results,
-    ),
-    "fig3b": Experiment(
-        "per-opcode command throughput on the cycle-level model",
-        "Figure 3(b)",
-        fig3b.format_results,
-    ),
-    "fig5": Experiment(
-        "roofline of one cluster with the kernel library placed on it",
-        "Figure 5",
-        fig5.format_results,
-    ),
-    "fig6": Experiment(
-        "energy efficiency vs GPUs and neurostream processors",
-        "Figure 6",
-        fig6.format_results,
-    ),
-    "fig7": Experiment(
-        "area efficiency vs GPUs and neurostream processors",
-        "Figure 7",
-        fig7.format_results,
-    ),
-    "precision": Experiment(
-        "partial-carry-save accumulator RMSE study",
-        "§II-C",
-        precision.format_results,
-    ),
-    "greenwave": Experiment(
-        "Green Wave seismic stencil on the cluster",
-        "§IV",
-        greenwave.format_results,
-    ),
-    "system": Experiment(
-        "multi-cluster scale-out on one HMC (repro.system sweep)",
-        "§V / Table II scaling trend",
-        system.format_results,
-        takes_engine_options=True,
-    ),
-}
-
-
 def _epilog() -> str:
-    """Help text generated from the experiment/engine/scenario registries."""
+    """Help text generated from the engine/scenario/campaign/artifact registries."""
     from repro.report import iter_artifacts
 
-    lines = ["experiments and the paper artefact each one reproduces:"]
-    for name, experiment in EXPERIMENTS.items():
-        lines.append(f"  {name:10s} {experiment.reproduces:26s} {experiment.description}")
-    lines.append("")
-    lines.append("registered cycle engines (the execution flags derived from")
-    lines.append("repro.ExecutionOptions pick the system execution path):")
+    lines = [
+        "registered cycle engines (the execution flags derived from",
+        "repro.ExecutionOptions pick the system execution path):",
+    ]
     for name, description in describe_engines().items():
         lines.append(f"  {name:10s} {description}")
     lines.append("")
@@ -222,16 +149,14 @@ def _epilog() -> str:
     for sweep in iter_campaigns():
         lines.append(f"  {sweep.name:20s} {sweep.description}")
     lines.append("")
-    lines.append(
-        "registered paper artifacts (python -m repro.eval report <name>,"
-    )
-    lines.append("or report --all to regenerate docs/paper_results.md):")
+    lines.append("registered paper artifacts (python -m repro.eval <name>, or")
+    lines.append("report --all --quick to regenerate docs/paper_results.md):")
     for artifact in iter_artifacts():
         lines.append(
             f"  {artifact.name:14s} {artifact.reproduces:22s} {artifact.title}"
         )
     lines.append("")
-    lines.append("run with no arguments to regenerate everything.")
+    lines.append("run with no arguments to print every artifact.")
     return "\n".join(lines)
 
 
@@ -734,70 +659,53 @@ def submit_main(argv) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level experiment parser (without the subcommand parsers)."""
+    """The top-level parser (without the subcommand parsers)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
-        description="Regenerate the tables and figures of the NTX paper.",
+        description=(
+            "Print the tables and figures of the NTX paper: the same output "
+            "as the report subcommand, for every artifact by default."
+        ),
         epilog=_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        # Abbreviations unique here may be ambiguous among the report flags.
+        allow_abbrev=False,
     )
     parser.add_argument(
-        "experiments",
+        "artifacts",
         nargs="*",
-        choices=[*EXPERIMENTS, []],
-        help="experiments to run (default: all; see the list below)",
+        metavar="ARTIFACT",
+        help="artifacts to print (default: all; see the list below)",
     )
     parser.add_argument(
-        "--list", action="store_true", help="list available experiments and exit"
-    )
-    add_execution_flags(
-        parser,
-        include=("parallel", "memoize", "batch"),
-        help_prefix="system experiment: ",
+        "--list", action="store_true", help="list the registered artifacts and exit"
     )
     add_execution_flags(parser, include=("trace", "trace_out"))
     obs.add_logging_flags(parser)
     return parser
 
 
+_SUBCOMMANDS = {
+    "scenario": scenario_main,
+    "campaign": campaign_main,
+    "report": report_main,
+    "submit": submit_main,
+    "trace": trace_main,
+}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "scenario":
-        return scenario_main(argv[1:])
-    if argv and argv[0] == "campaign":
-        return campaign_main(argv[1:])
-    if argv and argv[0] == "report":
-        return report_main(argv[1:])
-    if argv and argv[0] == "submit":
-        return submit_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
+    # Every bare flag is also a report flag, so the validated argv is
+    # forwarded verbatim; with no names, every artifact is printed.
     args = build_parser().parse_args(argv)
-    obs.configure_from_args(args)
+    if not args.list and not args.artifacts:
+        from repro.report import registered_artifacts
 
-    if args.list:
-        for name, experiment in EXPERIMENTS.items():
-            print(f"{name:10s} {experiment.reproduces:26s} {experiment.description}")
-        return 0
-
-    options = options_from_args(args)
-    selected = args.experiments or list(EXPERIMENTS)
-    with obs.trace_session(
-        trace=options.trace, trace_out=options.trace_out, metrics=True
-    ):
-        for name in selected:
-            experiment = EXPERIMENTS[name]
-            print("=" * 72)
-            print(f"{experiment.reproduces} — {experiment.description}")
-            print("=" * 72)
-            if experiment.takes_engine_options:
-                print(experiment.formatter(options=options))
-            else:
-                print(experiment.formatter())
-            print()
-    if options.trace_out:
-        _LOG.info("trace written to %s", options.trace_out)
-    return 0
+        argv.extend(registered_artifacts())
+    return report_main(argv)
 
 
 if __name__ == "__main__":

@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.eval.report import format_table
 from repro.eval.table2 import PAPER_NTX_ROWS, build_workloads
 from repro.perf.baselines import GPU_BASELINES, ACCELERATOR_BASELINES, best_gpu_geomean
 from repro.perf.energy import EnergyModel
 from repro.perf.scaling import largest_configuration_without_lim
 from repro.perf.technology import TECH_14NM, TECH_22FDX
 
-__all__ = ["Fig6Result", "run", "format_results", "PAPER_RATIOS"]
+__all__ = ["Fig6Result", "run", "PAPER_RATIOS"]
 
 #: The headline ratios quoted in the paper's Figure 6 caption.
 PAPER_RATIOS = {"22nm_vs_gpu": 2.5, "14nm_vs_gpu": 3.0}
@@ -77,19 +76,3 @@ def run(batch: int = 64, energy_model: Optional[EnergyModel] = None) -> Fig6Resu
         ratio_14nm_vs_gpu=bars[ntx64_14.name] / gpu_16nm,
         paper_bars=paper_bars,
     )
-
-
-def format_results(result: Optional[Fig6Result] = None) -> str:
-    """Render the efficiency bars (paper vs model) and the headline ratios."""
-    result = result if result is not None else run()
-    rows = [
-        (name, result.paper_bars.get(name, float("nan")), value)
-        for name, value in result.bars.items()
-    ]
-    footer = (
-        f"\nNTX 22nm vs best 28nm GPU: {result.ratio_22nm_vs_gpu:.1f}x "
-        f"(paper: {PAPER_RATIOS['22nm_vs_gpu']}x)\n"
-        f"NTX 14nm vs best 16nm GPU: {result.ratio_14nm_vs_gpu:.1f}x "
-        f"(paper: {PAPER_RATIOS['14nm_vs_gpu']}x)"
-    )
-    return format_table(["platform", "paper Gop/sW", "model Gop/sW"], rows) + footer

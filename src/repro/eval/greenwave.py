@@ -11,16 +11,15 @@ the kernel execution-time model scaled to 16 clusters and the energy model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.eval.report import format_table
 from repro.kernels.specs import KernelSpec
 from repro.perf.energy import EnergyModel
 from repro.perf.kernel_model import KernelExecutionModel
 from repro.perf.scaling import NtxSystemConfig
 from repro.perf.technology import TECH_22FDX
 
-__all__ = ["GreenWaveResult", "run", "format_results", "PAPER_VALUES"]
+__all__ = ["GreenWaveResult", "run", "PAPER_VALUES"]
 
 _WORD = 4
 
@@ -82,19 +81,3 @@ def run(points: int = 1 << 22) -> GreenWaveResult:
         ntx16_gflops_w=breakdown.efficiency_gops_w,
         paper=PAPER_VALUES,
     )
-
-
-def format_results(result: Optional[GreenWaveResult] = None) -> str:
-    """Render the seismic-stencil comparison table (paper rows + model row)."""
-    result = result if result is not None else run()
-    rows = [
-        ("Green Wave", PAPER_VALUES["Green Wave"]["gflops"], PAPER_VALUES["Green Wave"]["gflops_w"]),
-        ("GPU (paper)", PAPER_VALUES["GPU"]["gflops"], PAPER_VALUES["GPU"]["gflops_w"]),
-        (
-            "NTX 16x (paper estimate)",
-            PAPER_VALUES["NTX 16x (paper estimate)"]["gflops"],
-            PAPER_VALUES["NTX 16x (paper estimate)"]["gflops_w"],
-        ),
-        ("NTX 16x (this model)", result.ntx16_gflops, result.ntx16_gflops_w),
-    ]
-    return format_table(["platform", "Gflop/s", "Gflop/s W"], rows)

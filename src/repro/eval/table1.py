@@ -11,15 +11,13 @@ published silicon values (they are the calibration points of the models).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.cluster.cluster import ClusterConfig
-from repro.eval.report import format_table
 from repro.perf.area import ClusterAreaModel
 from repro.perf.energy import EnergyModel
 
-__all__ = ["PAPER_VALUES", "run", "format_results"]
+__all__ = ["PAPER_VALUES", "run"]
 
 #: The figures of merit as printed in Table I of the paper.
 PAPER_VALUES: Dict[str, float] = {
@@ -64,13 +62,3 @@ def run(
         "energy_per_flop_pj": energy.cluster_energy_per_flop() * 1e12,
     }
     return [(key, PAPER_VALUES[key], model[key]) for key in PAPER_VALUES]
-
-
-def format_results(rows: List[Tuple[str, float, float]] | None = None) -> str:
-    """Render Table I: metric, paper value, model value and their ratio."""
-    rows = rows if rows is not None else run()
-    table_rows = [
-        (name, paper, model, model / paper if paper else float("nan"))
-        for name, paper, model in rows
-    ]
-    return format_table(["metric", "paper", "model", "ratio"], table_rows)

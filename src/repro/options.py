@@ -1,23 +1,15 @@
 """The unified execution-options API shared by every entry point.
 
-Before this module existed every execution knob — cycle engine, worker
-processes, tile-timing memoization, batched cache-hit replay, campaign
-worker pools, quick mode — was threaded as a separate keyword argument
-through :class:`~repro.system.simulator.SystemSimulator`,
-:func:`~repro.scenarios.runner.run_scenario`,
-:func:`~repro.campaign.runner.run_campaign` and four hand-copied CLI flag
-blocks.  :class:`ExecutionOptions` folds them into one frozen,
-JSON-round-trippable object, which is what makes a *serializable* job
+Every execution knob — cycle engine, worker processes, tile-timing
+memoization, batched cache-hit replay, campaign worker pools, quick
+mode — lives in one frozen, JSON-round-trippable
+:class:`ExecutionOptions`, which is what makes a *serializable* job
 submission possible: the :mod:`repro.server` payload embeds it verbatim,
 ``python -m repro.eval`` derives its ``--engine/--parallel/--no-memoize/
---no-batch/--workers/--quick`` flags from its fields, and the redesigned
-entry points accept it as ``options=``.
-
-Legacy keyword arguments (``SystemSimulator(parallel=2)``,
-``run_campaign(quick=True)``) keep working through one conversion helper,
-:func:`merge_legacy_options`, which emits a :class:`DeprecationWarning`
-and builds the equivalent :class:`ExecutionOptions` — behaviour is
-unchanged, as the parity tests assert.
+--no-batch/--workers/--quick`` flags from its fields, and
+:class:`~repro.system.simulator.SystemSimulator`,
+:func:`~repro.scenarios.runner.run_scenario` and
+:func:`~repro.campaign.runner.run_campaign` accept it as ``options=``.
 
 Every option is *exact*: engine choice, memoization, batching and
 parallel dispatch never change simulated cycle counts or HMC contents,
@@ -30,11 +22,10 @@ from __future__ import annotations
 import json
 import os
 import re
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
-__all__ = ["UNSET", "ExecutionOptions", "merge_legacy_options", "parse_shard"]
+__all__ = ["ExecutionOptions", "parse_shard"]
 
 
 def parse_shard(shard: str) -> "tuple[int, int]":
@@ -57,17 +48,6 @@ def parse_shard(shard: str) -> "tuple[int, int]":
             f"shard index must be in [0, {count}), got {shard!r}"
         )
     return index, count
-
-
-class _Unset:
-    """Sentinel distinguishing "keyword not passed" from any real value."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "UNSET"
-
-
-#: Default of every legacy keyword in the shimmed signatures.
-UNSET = _Unset()
 
 
 @dataclass(frozen=True)
@@ -236,44 +216,3 @@ class ExecutionOptions:
     def from_json(cls, text: str) -> "ExecutionOptions":
         """Inverse of :meth:`to_json`."""
         return cls.from_dict(json.loads(text))
-
-
-def merge_legacy_options(
-    options: Optional["ExecutionOptions | Mapping[str, Any]"],
-    caller: str,
-    **legacy,
-) -> ExecutionOptions:
-    """The one conversion helper behind every redesigned entry point.
-
-    ``legacy`` holds the caller's deprecated keyword arguments with
-    :data:`UNSET` marking "not passed".  Passing both ``options`` and a
-    legacy keyword is ambiguous and raises ``TypeError``; legacy-only
-    calls emit a :class:`DeprecationWarning` and are converted to the
-    equivalent :class:`ExecutionOptions`, preserving behaviour exactly.
-    ``options`` may also be a plain mapping (a deserialized job payload),
-    which goes through :meth:`ExecutionOptions.from_dict`.
-    """
-    given = {name: value for name, value in legacy.items() if value is not UNSET}
-    if options is not None:
-        if given:
-            raise TypeError(
-                f"{caller}: pass options=ExecutionOptions(...) or the legacy "
-                f"keyword(s) {sorted(given)}, not both"
-            )
-        if isinstance(options, ExecutionOptions):
-            return options
-        if isinstance(options, Mapping):
-            return ExecutionOptions.from_dict(options)
-        raise TypeError(
-            f"{caller}: options must be an ExecutionOptions or a mapping, "
-            f"not {type(options).__name__}"
-        )
-    if not given:
-        return ExecutionOptions()
-    warnings.warn(
-        f"{caller}: the {sorted(given)} keyword(s) are deprecated; pass "
-        f"options=ExecutionOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ExecutionOptions(**given)

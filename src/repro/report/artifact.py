@@ -59,7 +59,7 @@ class Section:
     body: str = ""
     #: Table header cells (``None`` when the section has no table).
     headers: Optional[Sequence[str]] = None
-    #: Table rows; cells are rendered like the plain-text harness tables.
+    #: Table rows; cells are rendered by :func:`repro.report.render.render_cell`.
     rows: Optional[Sequence[Sequence[Any]]] = None
     #: Preformatted ASCII chart, rendered inside a fenced code block.
     chart: str = ""

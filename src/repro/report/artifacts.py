@@ -6,10 +6,9 @@ registered campaign(s) they read, and obtain every measured record
 through the campaign stack (golden-verified, memoized, resumable);
 analytic artifacts evaluate the :mod:`repro.perf` / :mod:`repro.softfloat`
 models directly.  The computation of the analytic rows stays in the
-original :mod:`repro.eval` harness modules — they remain the
-backward-compatible ``run()``/``format_results()`` surface — while this
-module is the single place that assembles those numbers into the
-generated results document.
+:mod:`repro.eval` harness modules' ``run()`` functions, while this
+module is the single place that assembles those numbers into printed
+artifacts and the generated results document.
 """
 
 from __future__ import annotations

@@ -60,7 +60,6 @@ def generate_reference() -> str:
     from repro.campaign import iter_campaigns
     from repro.cluster.engine import describe_engines
     from repro.eval.__main__ import (
-        EXPERIMENTS,
         build_campaign_parser,
         build_parser,
         build_report_parser,
@@ -149,9 +148,10 @@ def generate_reference() -> str:
         "",
         "## Paper artifacts",
         "",
-        "Run with `python -m repro.eval report <name>`, or regenerate the",
-        "whole results document with `python -m repro.eval report --all",
-        "--quick` (see [docs/paper_results.md](paper_results.md)).",
+        "Print with `python -m repro.eval <name>` (the same output as",
+        "`python -m repro.eval report <name>`), or regenerate the whole",
+        "results document with `python -m repro.eval report --all --quick`",
+        "(see [docs/paper_results.md](paper_results.md)).",
         "",
         markdown_table(
             ("artifact", "reproduces", "campaigns", "description"),
@@ -163,19 +163,6 @@ def generate_reference() -> str:
                     artifact.description,
                 )
                 for artifact in iter_artifacts()
-            ],
-        ),
-        "",
-        "## Experiment harnesses",
-        "",
-        "The backward-compatible per-experiment CLI"
-        " (`python -m repro.eval <name>`).",
-        "",
-        markdown_table(
-            ("experiment", "reproduces", "description"),
-            [
-                (f"`{name}`", experiment.reproduces, experiment.description)
-                for name, experiment in EXPERIMENTS.items()
             ],
         ),
         "",

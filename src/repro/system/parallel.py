@@ -383,7 +383,7 @@ def run_clusters_parallel(
                 except BrokenProcessPool as exc:
                     raise RuntimeError(
                         "a parallel system-simulation worker process died "
-                        "unexpectedly; rerun with parallel=None to debug "
+                        "unexpectedly; rerun with parallel=0 to debug "
                         "in-process"
                     ) from exc
 

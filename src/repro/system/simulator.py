@@ -22,19 +22,19 @@ configurations (Table II).
 
 Three system-scale accelerations sit on top of that machinery, all exact:
 
-* **Tile-timing memoization** (on by default, ``memoize=False`` to
-  disable): tiles whose engine/command-stream/cluster-configuration
+* **Tile-timing memoization** (on by default,
+  ``ExecutionOptions(memoize=False)`` disables it): tiles whose engine/command-stream/cluster-configuration
   signature has been simulated before replay the cached timing and only
   re-execute the data plane, so the thousands of identical interior tiles
   of a big tiled workload pay for cycle simulation once
   (:mod:`repro.system.memo`).
-* **Cross-tile batched replay** (on by default, ``batch=False`` to
-  disable): cache-hit tiles sharing one timing signature replay their data
+* **Cross-tile batched replay** (on by default,
+  ``ExecutionOptions(batch=False)`` disables it): cache-hit tiles sharing one timing signature replay their data
   planes as a single stacked NumPy dispatch instead of one dispatch per
   tile (:mod:`repro.system.batch`).  Guarded by a per-group
   self-containment gate, with a global fallback to the per-tile path when
   any tile fails it.
-* **Parallel dispatch** (``parallel=N`` or ``parallel=True``): independent
+* **Parallel dispatch** (``ExecutionOptions(parallel=N)``): independent
   clusters run in worker processes and their HMC writes are merged back in
   deterministic cluster order (:mod:`repro.system.parallel`).  Requires
   what the work-queue contract already assumes — tiles do not read each
@@ -52,7 +52,7 @@ from repro.cluster.tiling import TileSchedule, overlap_cycles
 from repro.mem.hmc import Hmc
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.options import UNSET, ExecutionOptions, merge_legacy_options
+from repro.options import ExecutionOptions
 from repro.system.config import SystemConfig
 from repro.system.memo import CachedTiming, TileTimingCache
 from repro.system.scheduler import ShardPlan, WorkQueueScheduler
@@ -275,10 +275,7 @@ class SystemSimulator:
     def __init__(
         self,
         config: Optional[SystemConfig] = None,
-        parallel=UNSET,
-        memoize=UNSET,
         timing_cache: Optional[TileTimingCache] = None,
-        batch=UNSET,
         options: Optional[ExecutionOptions] = None,
     ) -> None:
         """``options`` selects the execution path; see :mod:`repro.options`.
@@ -293,21 +290,13 @@ class SystemSimulator:
         tile passes the self-containment gate.  A non-``None``
         ``options.engine`` overrides the engine of ``config``.
 
-        The ``parallel``/``memoize``/``batch`` keyword arguments are the
-        deprecated pre-``ExecutionOptions`` spelling; they keep working
-        (``parallel=True`` still means one worker per CPU) through
-        :func:`repro.options.merge_legacy_options`, which warns and
-        builds the equivalent options object.
-
         A caller running many simulators over structurally similar
         workloads (the campaign runner, the server) may pass a shared
         ``timing_cache`` so warm entries carry across simulator
         instances; signatures pin the full cluster configuration, so
         sharing is always exact.
         """
-        options = merge_legacy_options(
-            options, "SystemSimulator", parallel=parallel, memoize=memoize, batch=batch
-        )
+        options = options or ExecutionOptions()
         config = config or SystemConfig()
         if options.engine is not None and config.engine != options.engine:
             config = replace(config, engine=options.engine)

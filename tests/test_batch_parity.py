@@ -32,6 +32,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
+from repro.options import ExecutionOptions
 from repro.scenarios.workloads import _lattice
 from repro.system import (
     ClusterAssignment,
@@ -59,7 +60,8 @@ def _run(
     if config is None:
         config = SystemConfig(engine=engine)
     simulator = SystemSimulator(
-        config, parallel=parallel, memoize=memoize, batch=batch
+        config,
+        options=ExecutionOptions(parallel=parallel, memoize=memoize, batch=batch),
     )
     workload = conv_tiled_workload(
         simulator.hmc,
@@ -275,7 +277,7 @@ class TestSelfContainmentGate:
         runs = []
         for batch in (False, True):
             simulator = SystemSimulator(
-                SystemConfig(), memoize=True, batch=batch
+                SystemConfig(), options=ExecutionOptions(batch=batch)
             )
             workload = self._doctored(simulator)
             result = simulator.run(workload.tiles)

@@ -390,7 +390,9 @@ class TestRunCampaign:
     def test_process_pool_matches_sequential(self, tmp_path, workers):
         sequential = run_campaign(tiny_sweep(), store_path=tmp_path / "seq.jsonl")
         pooled = run_campaign(
-            tiny_sweep(), store_path=tmp_path / "par.jsonl", workers=workers
+            tiny_sweep(),
+            store_path=tmp_path / "par.jsonl",
+            options=ExecutionOptions(workers=workers),
         )
         assert pooled.executed_points == 4
         seq = {r["point_id"]: r["metrics"] for r in sequential.records}
@@ -403,13 +405,19 @@ class TestRunCampaign:
     def test_quick_and_full_use_distinct_points(self, tmp_path):
         sweep = tiny_sweep(quick_overrides={"seed": 99})
         full = run_campaign(sweep, store_path=tmp_path / "s.jsonl")
-        quick = run_campaign(sweep, store_path=tmp_path / "s.jsonl", quick=True)
+        quick = run_campaign(
+            sweep, store_path=tmp_path / "s.jsonl", options=ExecutionOptions(quick=True)
+        )
         assert quick.executed_points == 4  # different hashes, no false resume
         assert full.complete and quick.complete
 
     def test_negative_workers_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="non-negative"):
-            run_campaign(tiny_sweep(), store_path=tmp_path / "s.jsonl", workers=-1)
+            run_campaign(
+                tiny_sweep(),
+                store_path=tmp_path / "s.jsonl",
+                options=ExecutionOptions(workers=-1),
+            )
 
     def test_on_point_reports_resumed_points_as_not_fresh(self, tmp_path):
         store = tmp_path / "s.jsonl"
@@ -847,7 +855,9 @@ class TestCrossEngineParity:
 def geometry_outcome(tmp_path_factory):
     """One quick conv-geometry-sweep run, shared by the analysis tests."""
     store = tmp_path_factory.mktemp("campaign") / "geometry.jsonl"
-    return run_campaign("conv-geometry-sweep", store_path=store, quick=True)
+    return run_campaign(
+        "conv-geometry-sweep", store_path=store, options=ExecutionOptions(quick=True)
+    )
 
 
 class TestAnalysis:
@@ -899,7 +909,9 @@ class TestAnalysis:
         see one scaling curve, with work-normalized speedups near the
         cluster ratio (perfect weak scaling)."""
         outcome = run_campaign(
-            "dnn-scaling", store_path=tmp_path / "dnn.jsonl", quick=True
+            "dnn-scaling",
+            store_path=tmp_path / "dnn.jsonl",
+            options=ExecutionOptions(quick=True),
         )
         rows = analyze_records(outcome.records)
         assert len({row.series for row in rows}) == 1

@@ -141,6 +141,15 @@ class TestTrainingModel:
         large = TrainingWorkload(net, batch=16, tcdm_bytes=256 * 1024)
         assert large.dram_bytes_per_step <= small.dram_bytes_per_step
 
+    def test_tcdm_size_ablation(self):
+        """The 128 kB TCDM of [12] buys more reuse than this paper's 64 kB."""
+        net = build_network("ResNet-50")
+        intensity = {
+            kib: TrainingWorkload(net, batch=16, tcdm_bytes=kib * 1024).operational_intensity
+            for kib in (32, 64, 128)
+        }
+        assert intensity[128] >= intensity[64] >= intensity[32]
+
     def test_summary_fields(self):
         workload = TrainingWorkload(build_network("AlexNet"), batch=16)
         summary = workload.summary()

@@ -2,32 +2,68 @@
 
 import pytest
 
-from repro.eval.__main__ import EXPERIMENTS, main
+from repro.eval import __main__ as cli
+from repro.eval.__main__ import main
+from repro.report import get_artifact, iter_artifacts, registered_artifacts
 
 
-def test_list_option(capsys):
+def test_list_prints_what_report_list_prints(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENTS:
-        assert name in out
+    assert main(["report", "--list"]) == 0
+    assert out == capsys.readouterr().out
+    for artifact in iter_artifacts():
+        assert artifact.name in out
 
 
-def test_single_experiment(capsys):
-    assert main(["table1"]) == 0
+@pytest.mark.parametrize("name", ["fig7", "precision"])
+def test_artifact_name_prints_what_report_prints(name, capsys):
+    assert main([name]) == 0
     out = capsys.readouterr().out
-    assert "figures of merit" in out
-    assert "peak_gflops" in out
+    assert main(["report", name]) == 0
+    assert out == capsys.readouterr().out
+    assert get_artifact(name).reproduces in out
 
 
-def test_fast_subset_of_experiments(capsys):
-    assert main(["fig5", "fig7"]) == 0
+def test_fast_subset_of_artifacts(capsys):
+    assert main(["fig7", "precision"]) == 0
     out = capsys.readouterr().out
-    assert "roofline" in out and "area efficiency" in out
+    assert "compute density" in out and "RMSE" in out
 
 
-def test_rejects_unknown_experiment():
+def test_no_names_prints_every_artifact(monkeypatch):
+    forwarded = []
+
+    def fake_report_main(argv):
+        forwarded.append(argv)
+        return 0
+
+    monkeypatch.setattr(cli, "report_main", fake_report_main)
+    assert main([]) == 0
+    assert main(["-q"]) == 0
+    assert forwarded == [
+        list(registered_artifacts()),
+        ["-q", *registered_artifacts()],
+    ]
+
+
+def test_rejects_unknown_artifact(capsys):
+    assert main(["does-not-exist"]) == 2
+    assert "registered artifacts" in capsys.readouterr().err
+
+
+def test_old_system_name_points_at_system_scaling(capsys):
+    assert main(["system"]) != 0
+    assert "system-scaling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--parallel", "2"], ["--no-memoize"], ["--no-batch"], ["--quick"]]
+)
+def test_bare_parser_has_no_execution_flags(flags, capsys):
     with pytest.raises(SystemExit):
-        main(["does-not-exist"])
+        main(["fig7", *flags])
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_scenario_list(capsys):
@@ -68,7 +104,7 @@ def test_epilog_is_generated_from_the_registries():
     from repro.scenarios import registered_scenarios
 
     epilog = _epilog()
-    for name in EXPERIMENTS:
+    for name in registered_artifacts():
         assert name in epilog
     for name in available_engines():
         assert name in epilog

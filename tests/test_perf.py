@@ -177,6 +177,9 @@ class TestRoofline:
     def test_axi_width_sweep_matches_paper_discussion(self):
         roofline = RooflineModel()
         sweep = roofline.bandwidth_sweep([64, 128, 256])
+        assert sweep[64]["bandwidth_gbs"] == pytest.approx(5.0)
+        assert sweep[128]["bandwidth_gbs"] == pytest.approx(10.0)
+        assert sweep[256]["bandwidth_gbs"] == pytest.approx(20.0)
         assert sweep[64]["ridge_flop_per_byte"] == pytest.approx(4.0)
         assert sweep[128]["ridge_flop_per_byte"] == pytest.approx(2.0)
         assert sweep[256]["ridge_flop_per_byte"] == pytest.approx(1.0)

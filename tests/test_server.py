@@ -1,5 +1,5 @@
 """The simulation-as-a-service daemon and the unified ExecutionOptions
-API: options round-trip/validation/legacy parity, submission parsing and
+API: options round-trip/validation, submission parsing and
 content-hash identity, end-to-end submit/poll/result over a real socket,
 concurrent-client dedup with bit-identical results, cancel-and-resume,
 kill-and-restart recovery, and the SIGTERM path of the CLI entry point."""
@@ -18,7 +18,7 @@ import pytest
 
 from repro.campaign import ResultStore, SweepSpec
 from repro.client import Client, ServerError
-from repro.options import ExecutionOptions, merge_legacy_options
+from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.server import JobError, ReproServer, parse_submission
 from repro.server.jobs import JobManager
@@ -130,37 +130,6 @@ class TestExecutionOptions:
 
 
 class TestLegacyShim:
-    def test_legacy_keyword_warns_and_matches_options(self):
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            legacy = SystemSimulator(SystemConfig(), parallel=2, memoize=False)
-        modern = SystemSimulator(
-            SystemConfig(), options=ExecutionOptions(parallel=2, memoize=False)
-        )
-        assert legacy.options == modern.options
-        assert (legacy.parallel, legacy.memoize) == (modern.parallel, modern.memoize)
-
-    def test_both_options_and_legacy_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            SystemSimulator(
-                SystemConfig(), parallel=2, options=ExecutionOptions()
-            )
-
-    def test_options_as_mapping_accepted(self):
-        simulator = SystemSimulator(SystemConfig(), options={"parallel": 1})
-        assert simulator.parallel == 1
-
-    def test_merge_helper_rejects_non_mapping(self):
-        with pytest.raises(TypeError, match="ExecutionOptions"):
-            merge_legacy_options(3, "caller")
-
-    def test_run_scenario_legacy_batch_parity(self):
-        spec = tiny_spec()
-        with pytest.warns(DeprecationWarning, match="batch"):
-            legacy = run_scenario(spec, batch=False)
-        modern = run_scenario(spec, options=ExecutionOptions(batch=False))
-        assert legacy.result.makespan_cycles == modern.result.makespan_cycles
-        assert legacy.verified and modern.verified
-
     def test_engine_option_threads_into_simulator_config(self):
         simulator = SystemSimulator(
             SystemConfig(), options=ExecutionOptions(engine="scalar")

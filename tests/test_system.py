@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.options import ExecutionOptions
 from repro.system import (
     SystemConfig,
     SystemSimulator,
@@ -21,7 +22,9 @@ def _run_system(
     config, num_tiles, image_shape=(12, 14), parallel=None, memoize=True, seed=2019
 ):
     """One end-to-end run; returns (simulator, workload, result, outputs)."""
-    simulator = SystemSimulator(config, parallel=parallel, memoize=memoize)
+    simulator = SystemSimulator(
+        config, options=ExecutionOptions(parallel=parallel, memoize=memoize)
+    )
     workload = conv_tiled_workload(
         simulator.hmc, num_tiles=num_tiles, image_shape=image_shape, seed=seed
     )
@@ -178,7 +181,8 @@ class TestSystemSimulator:
     def test_empty_workload_with_parallel_requested(self):
         """Regression: no tiles + parallel workers must not spawn or fail."""
         simulator = SystemSimulator(
-            SystemConfig(num_vaults=1, clusters_per_vault=2), parallel=4
+            SystemConfig(num_vaults=1, clusters_per_vault=2),
+            options=ExecutionOptions(parallel=4),
         )
         result = simulator.run([])
         assert result.num_tiles == 0
@@ -393,7 +397,7 @@ class TestParallelDispatch:
 
     def test_negative_parallel_rejected(self):
         with pytest.raises(ValueError):
-            SystemSimulator(SystemConfig(), parallel=-2)
+            SystemSimulator(SystemConfig(), options=ExecutionOptions(parallel=-2))
 
 
 class TestAcceptanceSpeedup:
