@@ -107,7 +107,7 @@ def _scenario(
 
 
 def _run_system_variant(
-    quick: bool, parallel, memoize: bool, batch: bool = False
+    quick: bool, parallel: int, memoize: bool, batch: bool = False
 ) -> Tuple[float, "object"]:
     """One end-to-end system run; returns (wall seconds, SystemResult)."""
     shape, tiles, _ = _SYSTEM_SIZES[quick]
@@ -127,7 +127,7 @@ def _run_system_variant(
 
 def _system_suite(quick: bool) -> List[Dict]:
     _, _, workers = _SYSTEM_SIZES[quick]
-    wall_seq, result_seq = _run_system_variant(quick, parallel=None, memoize=False)
+    wall_seq, result_seq = _run_system_variant(quick, parallel=0, memoize=False)
     scenarios = [
         _scenario(
             "system-sequential",
@@ -136,7 +136,7 @@ def _system_suite(quick: bool) -> List[Dict]:
             result_seq.makespan_cycles,
         )
     ]
-    wall_memo, result_memo = _run_system_variant(quick, parallel=None, memoize=True)
+    wall_memo, result_memo = _run_system_variant(quick, parallel=0, memoize=True)
     scenarios.append(
         _scenario(
             "system-memoized",
@@ -148,7 +148,7 @@ def _system_suite(quick: bool) -> List[Dict]:
         )
     )
     wall_batch, result_batch = _run_system_variant(
-        quick, parallel=None, memoize=True, batch=True
+        quick, parallel=0, memoize=True, batch=True
     )
     scenarios.append(
         _scenario(
@@ -406,13 +406,13 @@ def _obs_suite(quick: bool) -> List[Dict]:
         REGISTRY.set_enabled(False)
         TRACER.set_enabled(False)
         off = [
-            _run_system_variant(quick, parallel=None, memoize=True, batch=True)
+            _run_system_variant(quick, parallel=0, memoize=True, batch=True)
             for _ in range(repeats)
         ]
         REGISTRY.set_enabled(True)
         TRACER.set_enabled(True)
         on = [
-            _run_system_variant(quick, parallel=None, memoize=True, batch=True)
+            _run_system_variant(quick, parallel=0, memoize=True, batch=True)
             for _ in range(repeats)
         ]
     finally:

@@ -7,7 +7,8 @@ recorded (**resume**), and runs the remaining points through the ordinary
 :func:`~repro.scenarios.runner.run_scenario` — every point is therefore
 verified against its workload's golden model.  Each completed point is
 appended to the store immediately, so a killed campaign loses at most the
-point in flight.
+point in flight.  Points run under the caller's options unchanged, and
+no execution option enters a point id, so ``--no-memoize`` reruns resume.
 
 Two execution modes:
 
@@ -64,6 +65,7 @@ __all__ = [
     "default_store_path",
     "order_longest_first",
     "point_record",
+    "resolve_sweep",
     "run_campaign",
 ]
 
@@ -163,11 +165,12 @@ _WORKER_CACHE: Optional[TileTimingCache] = None
 
 
 def _execute_point_remote(
-    spec_data: Dict[str, Any], batch: bool = True, trace: bool = False
+    spec_data: Dict[str, Any], options: ExecutionOptions, trace: bool = False
 ) -> Dict[str, Any]:
     """Worker entry point: run one point and return its picklable record.
 
-    With ``trace`` the worker enables its process-local tracer and rides
+    ``options`` is the campaign's block, unchanged.  With ``trace`` the
+    worker enables its process-local tracer and rides
     the serialized spans home under the transient ``_spans`` key, which
     the parent pops (and ingests) before the record touches the store —
     stores stay byte-identical to untraced runs.
@@ -180,9 +183,7 @@ def _execute_point_remote(
         _trace.TRACER.set_enabled(True)
     track = f"campaign-worker-{os.getpid()}"
     with _trace.TRACER.track(track), _trace.span("point", name=spec.name):
-        outcome = run_scenario(
-            spec, options=ExecutionOptions(batch=batch), timing_cache=_WORKER_CACHE
-        )
+        outcome = run_scenario(spec, options=options, timing_cache=_WORKER_CACHE)
     point = CampaignPoint(id=point_id(spec), axis_values={}, spec=spec)
     record = point_record(point, outcome, outcome.run_seconds)
     if trace:
@@ -239,6 +240,22 @@ def order_longest_first(
     )
 
 
+def resolve_sweep(
+    campaign: Union[str, SweepSpec], options: ExecutionOptions
+) -> SweepSpec:
+    """The sweep (a registered name or a spec) with ``options.engine``
+    written into its base; an ``engine`` axis rejects the override, which
+    would run every point on one engine under its axis' identity."""
+    sweep = get_campaign(campaign) if isinstance(campaign, str) else campaign
+    if options.engine is not None and "engine" in sweep.axes:
+        raise ValueError(
+            f"campaign {sweep.name!r} sweeps the engine as an axis; "
+            "drop the engine override"
+        )
+    base = options.resolve(sweep.base)
+    return sweep if base is sweep.base else replace(sweep, base=base)
+
+
 def run_campaign(
     campaign: Union[str, SweepSpec],
     store_path: Optional[Path | str] = None,
@@ -254,10 +271,9 @@ def run_campaign(
     block: ``options.quick`` applies the campaign's ``quick_overrides``
     to the base scenario (axes are never shrunk), ``options.workers >=
     1`` dispatches points onto a bounded process pool of that many
-    workers (``0``, the default, runs in-process), ``options.batch``
-    toggles batched cache-hit replay per point, and non-default
-    ``engine``/``parallel``/``memoize`` values override the *base*
-    scenario before expansion — which changes the expanded point ids,
+    workers (``0``, the default, runs in-process), and the block reaches
+    every point's simulator unchanged.  Only ``options.engine`` changes
+    point ids: :func:`resolve_sweep` writes it into the *base* scenario,
     exactly as editing the sweep definition would.
 
     ``max_points`` caps how many pending points this call executes (the
@@ -283,10 +299,7 @@ def run_campaign(
     from repro.campaign.store import ResultStore
 
     options = options or ExecutionOptions()
-    sweep = get_campaign(campaign) if isinstance(campaign, str) else campaign
-    base_overrides = options.spec_overrides()
-    if base_overrides:
-        sweep = replace(sweep, base=sweep.base.with_overrides(**base_overrides))
+    sweep = resolve_sweep(campaign, options)
     if options.quick:
         sweep = sweep.for_quick()
     workers = options.workers
@@ -341,13 +354,12 @@ def run_campaign(
 
     start = time.perf_counter()
     executed = 0
-    point_options = ExecutionOptions(batch=options.batch)
     if pending and workers >= 1:
         with _trace.span(
             "campaign-pool", campaign=sweep.name, points=len(pending)
         ):
             executed = _run_pool(
-                pending, store, stored, workers, on_point, options.batch,
+                pending, store, stored, workers, on_point, options,
                 result_cache,
             )
     else:
@@ -355,7 +367,7 @@ def run_campaign(
         for point in pending:
             with _trace.span("point", name=point.spec.name):
                 outcome = run_scenario(
-                    point.spec, options=point_options, timing_cache=warm
+                    point.spec, options=options, timing_cache=warm
                 )
             record = store.append(
                 point_record(point, outcome, outcome.run_seconds)
@@ -402,7 +414,7 @@ def _run_pool(
     stored,
     workers: int,
     on_point,
-    batch: bool,
+    options: ExecutionOptions,
     result_cache: Optional[GlobalResultCache] = None,
 ) -> int:
     """Dispatch ``pending`` onto a bounded pool with dynamic work-stealing.
@@ -431,7 +443,7 @@ def _run_pool(
                     _LOG.debug("pool: stealing next point %s", point.id[:12])
                 by_future[
                     pool.submit(
-                        _execute_point_remote, point.spec.to_dict(), batch, tracing
+                        _execute_point_remote, point.spec.to_dict(), options, tracing
                     )
                 ] = point
         for _ in range(pool_size):

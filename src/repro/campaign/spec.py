@@ -2,8 +2,8 @@
 
 A :class:`SweepSpec` is a base :class:`~repro.scenarios.spec.ScenarioSpec`
 plus named **axes**: ordered value lists over spec fields (``num_vaults``,
-``clusters_per_vault``, ``num_tiles``, ``engine``, ``parallel``,
-``memoize``, ...) or family shape parameters (``params.kernel``).  Two
+``clusters_per_vault``, ``num_tiles``, ``engine``, ``seed``, ...) or
+family shape parameters (``params.kernel``).  Two
 expansion modes turn the axes into concrete scenario points:
 
 * ``grid`` — the cartesian product of every axis (Table-II style sweeps);
@@ -59,9 +59,10 @@ _PARAM_PREFIX = "params."
 def point_id(spec: ScenarioSpec) -> str:
     """Content hash of one scenario point (stable across processes).
 
-    The hash covers everything that shapes the run — workload family and
-    parameters, geometry, engine, execution knobs, seed — but not the
-    ``name`` and ``description``, which are presentation only.  Records
+    The hash covers everything the run measures — workload family and
+    parameters, geometry, engine, seed — but not the ``name`` and
+    ``description``, which are presentation only.  Execution knobs are
+    not spec fields, so memoized and parallel runs share one id.  Records
     in a campaign's result store are keyed by this, so a point whose
     definition changes in any run-relevant way is re-executed rather
     than wrongly resumed, while renaming a scenario or campaign leaves

@@ -244,8 +244,8 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     add_store_options(run_parser)
     add_execution_flags(
         run_parser,
-        include=("batch", "workers", "quick", "cache_dir", "shard", "trace",
-                 "trace_out"),
+        include=("parallel", "memoize", "batch", "workers", "quick", "cache_dir",
+                 "shard", "trace", "trace_out"),
     )
     obs.add_logging_flags(run_parser)
     run_parser.add_argument(

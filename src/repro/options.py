@@ -14,7 +14,9 @@ submission possible: the :mod:`repro.server` payload embeds it verbatim,
 Every option is *exact*: engine choice, memoization, batching and
 parallel dispatch never change simulated cycle counts or HMC contents,
 only wall time — which is why two submissions differing only in these
-knobs may legitimately share one server-side result.
+knobs may legitimately share one server-side result.  Only ``engine`` is
+also a spec field (campaigns sweep it); :meth:`ExecutionOptions.resolve`
+writes it in.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ import json
 import os
 import re
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
+
+if TYPE_CHECKING:  # importing repro.scenarios at runtime would be circular
+    from repro.scenarios.spec import ScenarioSpec
 
 __all__ = ["ExecutionOptions", "parse_shard"]
 
@@ -55,12 +60,11 @@ class ExecutionOptions:
     """Every knob that selects *how* a simulation executes, as one value.
 
     All fields are execution-path choices, not workload definitions: any
-    combination produces bit-identical simulated cycles and HMC contents
-    (`engine`, `parallel` and `memoize` also exist as
-    :class:`~repro.scenarios.spec.ScenarioSpec` fields and therefore
-    participate in campaign point identity; ``batch``, ``workers`` and
-    ``quick`` never do).  The ``metadata["cli"]`` of each field is the
-    help text of the derived command-line flag
+    combination produces bit-identical simulated cycles and HMC contents,
+    so none of them enters campaign point identity — except ``engine``,
+    which :meth:`resolve` writes into the spec because campaigns may
+    sweep it.  The ``metadata["cli"]`` of each field is the help text of
+    the derived command-line flag
     (:func:`repro.eval.__main__.add_execution_flags`).
     """
 
@@ -131,19 +135,12 @@ class ExecutionOptions:
             from repro.cluster.engine import get_engine  # avoid import cycle
 
             get_engine(self.engine)  # unknown names raise listing the choices
-        # ``parallel=True`` historically meant one worker per CPU and
-        # ``None``/``False`` meant in-process; normalize so the dict/JSON
-        # round trip always carries a plain count.
-        if self.parallel is True:
-            object.__setattr__(self, "parallel", os.cpu_count() or 1)
-        elif self.parallel is None or self.parallel is False:
-            object.__setattr__(self, "parallel", 0)
-        if not isinstance(self.parallel, int) or self.parallel < 0:
-            raise ValueError("parallel worker count must be non-negative")
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
-            raise ValueError("worker count must be an integer")
-        if self.workers < 0:
-            raise ValueError("worker count must be non-negative")
+        for name, label in (("parallel", "parallel worker"), ("workers", "worker")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{label} count must be an integer")
+            if value < 0:
+                raise ValueError(f"{label} count must be non-negative")
         for name in ("memoize", "batch", "quick", "trace"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a boolean")
@@ -164,25 +161,15 @@ class ExecutionOptions:
 
     # -- consumers -----------------------------------------------------------
 
-    def spec_overrides(self) -> Dict[str, Any]:
-        """The fields that shadow :class:`ScenarioSpec` execution fields.
+    def resolve(self, spec: "ScenarioSpec") -> "ScenarioSpec":
+        """``spec`` with this block's ``engine`` (if any) written into it.
 
-        Only values set *away from their defaults* are returned, so an
-        all-default options object never clobbers what a spec pins (a
-        spec with ``memoize=False`` keeps it unless the options demand
-        otherwise; to force memoization back on, override the spec
-        itself).  ``batch``, ``workers``, ``quick``, ``cache_dir``,
-        ``shard``, ``trace`` and ``trace_out`` are never spec fields
-        and never appear here.
+        ``engine-shootout`` sweeps the engine as an axis, so it stays
+        point identity; no other option ever touches a spec.
         """
-        overrides: Dict[str, Any] = {}
-        if self.engine is not None:
-            overrides["engine"] = self.engine
-        if self.parallel:
-            overrides["parallel"] = self.parallel
-        if not self.memoize:
-            overrides["memoize"] = False
-        return overrides
+        if self.engine is None or self.engine == spec.engine:
+            return spec
+        return spec.with_overrides(engine=self.engine)
 
     def with_overrides(self, **changes) -> "ExecutionOptions":
         """A copy with the given fields replaced (validated like new)."""

@@ -2,12 +2,13 @@
 
 :func:`run_scenario` is the one entry point every consumer shares — the
 eval CLI, the benchmark harness and the tests: resolve the spec (by name
-or directly), build the system, stage the workload in the shared HMC, run
-every tile through the cycle-level engines, and verify the HMC contents
-against the workload's golden model.  A scenario run is therefore always
-a correctness run; ``verify=False`` exists only for callers that verify
-differently (e.g. the cross-engine parity tests, which compare raw HMC
-bytes between engines).
+or directly), build the system under the caller's options as given,
+stage the workload in the shared HMC, run every tile through the
+cycle-level engines, and verify the HMC contents against the workload's
+golden model.  A scenario run is therefore always a correctness run;
+``verify=False`` exists only for callers that verify differently (e.g.
+the cross-engine parity tests, which compare raw HMC bytes between
+engines).
 """
 
 from __future__ import annotations
@@ -78,19 +79,17 @@ def run_scenario(
     """Run ``scenario`` (a registered name or a spec) end to end.
 
     ``options`` is the unified :class:`~repro.options.ExecutionOptions`
-    block: its non-default ``engine``/``parallel``/``memoize`` values
-    override the corresponding spec fields (explicit ``overrides`` win
-    over both), and its ``batch`` flag toggles batched cache-hit replay
-    for this run — an execution knob, not a spec field, so scenario
-    identities (and campaign point ids) do not depend on it.  The
-    ``workers``/``quick`` fields are campaign-level and ignored here.
+    block and reaches the simulator unchanged; only a non-``None``
+    ``engine`` touches the spec, written in after ``overrides`` so the
+    spec names the engine the simulator runs.  Campaign-level fields
+    (``workers``, ``quick``, ``shard``, ``cache_dir``) are ignored here.
 
     ``overrides`` replace spec fields for this run only (e.g.
-    ``engine="scalar"``, ``num_tiles=2``, ``parallel=2``); they go through
-    the same validation as a freshly constructed spec.  ``timing_cache``
-    lets a caller that runs many scenarios (the campaign runner, the
-    server) share one tile-timing cache across runs; it is only consulted
-    when the spec has ``memoize`` enabled.
+    ``engine="scalar"``, ``num_tiles=2``); they go through the same
+    validation as a freshly constructed spec.  ``timing_cache`` lets a
+    caller that runs many scenarios (the campaign runner, the server)
+    share one tile-timing cache across runs; it is only consulted when
+    ``options.memoize`` is on.
     """
     options = options or ExecutionOptions()
     if options.trace:
@@ -98,18 +97,12 @@ def run_scenario(
         # the process (the CLI scopes it with ``repro.obs.trace_session``).
         _trace.TRACER.set_enabled(True)
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    merged = {**options.spec_overrides(), **overrides}
-    if merged:
-        spec = spec.with_overrides(**merged)
+    if overrides:
+        spec = spec.with_overrides(**overrides)
+    spec = options.resolve(spec)
     config = spec.system_config()
-    simulator = SystemSimulator(
-        config,
-        options=ExecutionOptions(
-            parallel=spec.parallel, memoize=spec.memoize, batch=options.batch
-        ),
-        timing_cache=timing_cache,
-    )
     with _trace.span("scenario", name=spec.name, family=spec.family):
+        simulator = SystemSimulator(config, options=options, timing_cache=timing_cache)
         with _trace.span("build-workload"):
             workload = build_workload(spec, simulator.hmc, config.cluster)
         start = time.perf_counter()

@@ -1,9 +1,10 @@
 """Declarative description of one runnable scenario.
 
-A :class:`ScenarioSpec` pins everything a run needs — the workload family
-and its shape parameters, the system geometry (vaults x clusters per
-vault), and the execution knobs (cycle engine, tile-timing memoization,
-worker processes) — as plain data with a dict/JSON round trip.  Specs are
+A :class:`ScenarioSpec` pins everything a run measures — the workload
+family and its shape parameters, the system geometry (vaults x clusters
+per vault) and the cycle engine — as plain data with a dict/JSON round
+trip.  How a run executes lives only in
+:class:`~repro.options.ExecutionOptions`, never in a spec.  Specs are
 what the named-scenario registry stores, what ``python -m repro.eval
 scenario run`` resolves, and what the benchmark harness iterates; the
 same spec therefore *is* the reproduction recipe for a measurement.
@@ -43,7 +44,7 @@ def _normalize(value):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario: workload family + shape + system + execution knobs."""
+    """One scenario: workload family + shape + system geometry + engine."""
 
     #: Registry name of the scenario (``conv-tiled``, ``dnn-training-step``, ...).
     name: str
@@ -62,10 +63,6 @@ class ScenarioSpec:
     clusters_per_vault: int = 4
     #: Cycle engine (resolved through :mod:`repro.cluster.engine`).
     engine: str = DEFAULT_ENGINE
-    #: Tile-timing memoization (exact; see :mod:`repro.system.memo`).
-    memoize: bool = True
-    #: Worker processes for cluster dispatch (0 = in-process).
-    parallel: int = 0
     #: Per-cluster NTX start stagger.
     stagger_cycles: int = 7
 
@@ -87,8 +84,6 @@ class ScenarioSpec:
         get_engine(self.engine)
         if self.num_tiles < 0:
             raise ValueError("tile count must be non-negative")
-        if self.parallel < 0:
-            raise ValueError("parallel worker count must be non-negative")
         merged = self.merged_params()  # unknown shape parameters fail here too
         validate = FAMILIES[self.family].validate
         if validate is not None:

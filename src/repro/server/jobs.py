@@ -4,9 +4,10 @@ A *job* is one scenario or campaign submission, identified by a **content
 hash** of everything that shapes its results — the fully resolved
 :class:`~repro.scenarios.spec.ScenarioSpec` (or
 :class:`~repro.campaign.spec.SweepSpec` plus quick flag) after the
-submission's :class:`~repro.options.ExecutionOptions` spec overrides are
-applied.  Execution-only knobs (``batch``, ``workers``) are *excluded*
-from the identity, because every execution path is exact: two
+submission's ``engine`` option is written into it
+(:meth:`~repro.options.ExecutionOptions.resolve`).  Every other
+execution knob (``parallel``, ``memoize``, ``batch``, ``workers``) is
+*excluded* from the identity, because every execution path is exact: two
 submissions differing only in those knobs are one job with one result.
 
 That deterministic id is what makes the daemon's three headline
@@ -51,13 +52,12 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.campaign.cache import CACHE_DIR_ENV, GlobalResultCache
-from repro.campaign.registry import get_campaign
-from repro.campaign.runner import point_record, run_campaign
+from repro.campaign.runner import point_record, resolve_sweep, run_campaign
 from repro.campaign.spec import CampaignPoint, SweepSpec, point_id
 from repro.campaign.store import ResultStore
 from repro.obs import metrics as _metrics
@@ -108,9 +108,9 @@ class Submission:
 
     kind: str
     options: ExecutionOptions
-    #: Resolved scenario (scenario jobs) — spec overrides already applied.
+    #: Resolved scenario (scenario jobs) — engine option already applied.
     spec: Optional[ScenarioSpec] = None
-    #: Resolved sweep (campaign jobs) — base overrides already applied.
+    #: Resolved sweep (campaign jobs) — engine option already applied.
     sweep: Optional[SweepSpec] = None
 
     @property
@@ -145,9 +145,11 @@ def parse_submission(payload: Mapping[str, Any]) -> Submission:
     Scenario jobs carry either an inline ``spec`` dict or a registered
     ``scenario`` name; campaign jobs either an inline ``sweep`` dict or
     a registered ``campaign`` name.  The optional ``options`` block is
-    an :class:`ExecutionOptions` dict and is embedded verbatim; its
-    ``engine``/``parallel``/``memoize`` overrides are resolved into the
-    spec/sweep here so they participate in the job's content hash.
+    an :class:`ExecutionOptions` dict and is embedded verbatim; only its
+    ``engine`` is resolved into the spec/sweep here, so besides a
+    campaign's ``quick`` it is the only option in the job's content
+    hash.  ``cache_dir``, ``shard`` and
+    ``trace``/``trace_out`` are the daemon's own choice and are rejected.
     """
     if not isinstance(payload, Mapping):
         raise JobError("a job submission must be a JSON object")
@@ -156,6 +158,16 @@ def parse_submission(payload: Mapping[str, Any]) -> Submission:
         raise JobError("kind must be 'scenario' or 'campaign'")
     try:
         options = ExecutionOptions.from_dict(payload.get("options") or {})
+        owned = [
+            name for name in ("cache_dir", "shard", "trace", "trace_out")
+            if getattr(options, name)
+        ]
+        if owned:
+            raise JobError(
+                f"option(s) {owned} cannot be set per job: the daemon owns "
+                "its result cache and tracer, and a shard would share the "
+                "whole sweep's job id"
+            )
         if kind == "scenario":
             if "spec" in payload:
                 spec = ScenarioSpec.from_dict(payload["spec"])
@@ -166,23 +178,19 @@ def parse_submission(payload: Mapping[str, Any]) -> Submission:
                     "a scenario job needs a 'spec' dict or a registered "
                     "'scenario' name"
                 )
-            overrides = options.spec_overrides()
-            if overrides:
-                spec = spec.with_overrides(**overrides)
-            return Submission(kind=kind, options=options, spec=spec)
+            return Submission(kind=kind, options=options, spec=options.resolve(spec))
         if "sweep" in payload:
             sweep = SweepSpec.from_dict(payload["sweep"])
         elif "campaign" in payload:
-            sweep = get_campaign(payload["campaign"])
+            sweep = payload["campaign"]
         else:
             raise JobError(
                 "a campaign job needs a 'sweep' dict or a registered "
                 "'campaign' name"
             )
-        overrides = options.spec_overrides()
-        if overrides:
-            sweep = replace(sweep, base=sweep.base.with_overrides(**overrides))
-        return Submission(kind=kind, options=options, sweep=sweep)
+        return Submission(
+            kind=kind, options=options, sweep=resolve_sweep(sweep, options)
+        )
     except JobError:
         raise
     except (ValueError, TypeError) as error:
@@ -251,10 +259,7 @@ class JobManager:
         #: daemon (``--cache-dir``, then ``$REPRO_CACHE_DIR``, then a
         #: directory under the store dir), with its lazily loaded shard
         #: maps acting as the warm in-process layer over the persistent
-        #: sharded JSONL store.  Submission options never override it:
-        #: ``cache_dir``/``shard`` are client-side execution knobs, and
-        #: forwarding a shard subset into a content-hashed job would let
-        #: two different subsets deduplicate onto one result.
+        #: sharded JSONL store.  Submissions cannot override it.
         self.result_cache = GlobalResultCache(
             cache_dir
             or os.environ.get(CACHE_DIR_ENV)
@@ -539,9 +544,7 @@ class JobManager:
             raise JobCancelled()
         self._events.inc(event="simulations")
         outcome = run_scenario(
-            spec,
-            options=ExecutionOptions(batch=submission.options.batch),
-            timing_cache=self.timing_cache,
+            spec, options=submission.options, timing_cache=self.timing_cache
         )
         point = CampaignPoint(id=pid, axis_values={}, spec=spec)
         record = self.scenario_store.append(
@@ -571,9 +574,7 @@ class JobManager:
         outcome = run_campaign(
             sweep,
             store_path=store_path,
-            options=ExecutionOptions(
-                batch=options.batch, workers=options.workers, quick=options.quick
-            ),
+            options=options,
             on_point=on_point,
             timing_cache=self.timing_cache,
             cache=self.result_cache,

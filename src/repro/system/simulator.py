@@ -302,9 +302,6 @@ class SystemSimulator:
             config = replace(config, engine=options.engine)
         self.options = options
         self.config = config
-        self.parallel = options.parallel
-        self.memoize = options.memoize
-        self.batch = options.batch
         self.timing_cache = timing_cache if timing_cache is not None else TileTimingCache()
         self.hmc = Hmc(self.config.hmc)
         self.clusters: List[Cluster] = [
@@ -336,8 +333,7 @@ class SystemSimulator:
         """Resolve the ``parallel`` request against the work at hand."""
         if busy_clusters <= 1:
             return 1
-        workers = int(self.parallel or 0)
-        return min(max(workers, 1), busy_clusters)
+        return min(max(self.options.parallel, 1), busy_clusters)
 
     # -- execution ------------------------------------------------------------
 
@@ -349,7 +345,7 @@ class SystemSimulator:
         ):
             plan = self.shard(tiles)
         vault_of = config.vault_of_cluster
-        cache = self.timing_cache if self.memoize else None
+        cache = self.timing_cache if self.options.memoize else None
         hits_before = self.timing_cache.hits
         misses_before = self.timing_cache.misses
         busy_clusters = sum(1 for indices in plan.tiles_of if indices)
@@ -362,11 +358,11 @@ class SystemSimulator:
                 "parallel-dispatch", workers=workers, clusters=busy_clusters
             ):
                 reports = run_clusters_parallel(
-                    config, plan, tiles, self.hmc, cache, workers, batch=self.batch
+                    config, plan, tiles, self.hmc, cache, workers, batch=self.options.batch
                 )
         else:
             reports = None
-            if self.batch and cache is not None:
+            if self.options.batch and cache is not None:
                 from repro.system.batch import (
                     ClusterAssignment,
                     run_cluster_groups_batched,

@@ -51,7 +51,7 @@ def _run(
     seed=2019,
     engine="vectorized",
     memoize=True,
-    parallel=None,
+    parallel=0,
     batch=True,
     config=None,
     draw=_lattice,
@@ -122,7 +122,7 @@ def _assert_matches_reference(reference, candidate):
 @pytest.fixture(scope="module")
 def scalar_reference():
     """The ground truth: sequential scalar engine, no acceleration at all."""
-    return _run(engine="scalar", memoize=False, parallel=None, batch=False)
+    return _run(engine="scalar", memoize=False, parallel=0, batch=False)
 
 
 class TestAcceleratorMatrix:
@@ -130,7 +130,7 @@ class TestAcceleratorMatrix:
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     @pytest.mark.parametrize("memoize", [False, True])
-    @pytest.mark.parametrize("parallel", [None, 2])
+    @pytest.mark.parametrize("parallel", [0, 2])
     @pytest.mark.parametrize("batch", [False, True])
     def test_combination_matches_scalar_sequential(
         self, scalar_reference, engine, memoize, parallel, batch
@@ -192,7 +192,7 @@ def _fuzz_one(draw, combos):
         image_shape=draw["image_shape"],
         seed=draw["seed"],
         memoize=False,
-        parallel=None,
+        parallel=0,
         batch=False,
         config=SystemConfig(engine="scalar", **draw["config_kwargs"]),
     )
@@ -211,14 +211,14 @@ def _fuzz_one(draw, combos):
 
 class TestFuzzParity:
     QUICK_COMBOS = [
-        ("vectorized", True, None, True),
-        ("scalar", True, None, True),
+        ("vectorized", True, 0, True),
+        ("scalar", True, 0, True),
     ]
     FULL_COMBOS = [
         (engine, memoize, parallel, batch)
         for engine in ("scalar", "vectorized")
         for memoize in (False, True)
-        for parallel in (None, 2)
+        for parallel in (0, 2)
         for batch in (False, True)
     ]
 

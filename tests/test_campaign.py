@@ -325,6 +325,53 @@ class TestRunCampaign:
         assert store.read_text(encoding="utf-8") == before  # nothing re-ran
         assert again.records == first.records
 
+    @pytest.mark.parametrize(
+        "options",
+        [ExecutionOptions(memoize=False, parallel=2), ExecutionOptions(workers=2)],
+        ids=["no-memoize-parallel", "workers"],
+    )
+    def test_execution_options_never_fragment_the_store(self, tmp_path, options):
+        """Execution knobs stay out of point ids: a rerun resumes it all."""
+        store = tmp_path / "s.jsonl"
+        first = run_campaign(tiny_sweep(), store_path=store)
+        again = run_campaign(tiny_sweep(), store_path=store, options=options)
+        assert again.skipped_points == 4
+        assert again.executed_points == 0
+        assert [p.id for p in again.points] == [p.id for p in first.points]
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_execution_options_reach_every_point(self, tmp_path, workers):
+        """memoize/parallel travel in the options block, to pool workers too."""
+        outcome = run_campaign(
+            tiny_sweep(),
+            store_path=tmp_path / "s.jsonl",
+            options=ExecutionOptions(memoize=False, parallel=2, workers=workers),
+        )
+        assert outcome.executed_points == 4
+        for record in outcome.records:
+            metrics = record["metrics"]
+            assert metrics["cache_hits"] == metrics["cache_misses"] == 0
+            busy = min(record["spec"]["clusters_per_vault"], metrics["tiles"])
+            assert metrics["workers"] == min(2, busy)
+
+    def test_engine_override_is_point_identity(self, tmp_path):
+        store = tmp_path / "s.jsonl"
+        run_campaign(tiny_sweep(), store_path=store)
+        scalar = run_campaign(
+            tiny_sweep(), store_path=store,
+            options=ExecutionOptions(engine="scalar"), max_points=0,
+        )
+        assert scalar.skipped_points == 0
+        assert all(point.spec.engine == "scalar" for point in scalar.points)
+
+    def test_engine_override_rejected_on_an_engine_axis(self, tmp_path):
+        sweep = tiny_sweep(axes={"engine": ("vectorized", "scalar")})
+        with pytest.raises(ValueError, match="engine as an axis"):
+            run_campaign(
+                sweep, store_path=tmp_path / "s.jsonl",
+                options=ExecutionOptions(engine="scalar"),
+            )
+
     def test_shared_timing_cache_warms_across_points(self, tmp_path):
         outcome = run_campaign(tiny_sweep(), store_path=tmp_path / "s.jsonl")
         hits = sum(r["metrics"]["cache_hits"] for r in outcome.records)

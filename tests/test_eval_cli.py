@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign import get_campaign
 from repro.eval import __main__ as cli
 from repro.eval.__main__ import main
 from repro.report import get_artifact, iter_artifacts, registered_artifacts
@@ -185,6 +186,10 @@ def test_campaign_summary_without_cache_is_unchanged(tmp_path, capsys):
 
 
 def test_campaign_sharded_run_and_merge(tmp_path, capsys):
+    # Shard membership follows the point-id hash (int(id, 16) % 2).
+    points = get_campaign("dnn-scaling").for_quick().expand()
+    sizes = [sum(int(p.id, 16) % 2 == index for p in points) for index in range(2)]
+    assert sum(sizes) == 4 and all(sizes)  # two non-empty shards
     shards = []
     for index in range(2):
         store = str(tmp_path / f"shard{index}.jsonl")
@@ -194,7 +199,7 @@ def test_campaign_sharded_run_and_merge(tmp_path, capsys):
              "--shard", f"{index}/2", "--store", store]
         ) == 0
         out = capsys.readouterr().out
-        assert f"[shard {index}/2]: 2 points" in out
+        assert f"[shard {index}/2]: {sizes[index]} points" in out
 
     merged = str(tmp_path / "merged.jsonl")
     assert main(["campaign", "merge", "--output", merged] + shards) == 0

@@ -7,6 +7,7 @@ that instrumentation never perturbs simulation results."""
 import json
 import logging
 import re
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.obs.trace import (
 )
 from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, run_scenario
+from repro.system import SystemSimulator
 
 _SAMPLE_LINE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9eE.+-]+$|"
@@ -270,14 +272,32 @@ class TestInstrumentedRuns:
             num_tiles=4,
             num_vaults=2,
             clusters_per_vault=2,
-            parallel=2,
         )
         with obs.trace_session(trace=True) as tracer:
-            run_scenario(spec, options=ExecutionOptions(batch=False))
+            run_scenario(spec, options=ExecutionOptions(parallel=2, batch=False))
             spans = tracer.spans()
         worker_tracks = {s.track for s in spans if s.track.startswith("worker-")}
         assert worker_tracks, {s.track for s in spans}
         assert any(s.name == "worker-task" for s in spans)
+
+    def test_simulator_is_built_inside_the_scenario_span(self, monkeypatch):
+        """The HMC allocation in SystemSimulator.__init__ is scenario time."""
+        built_at = []
+        real_init = SystemSimulator.__init__
+
+        def recording_init(self, *args, **kwargs):
+            built_at.append(time.time_ns() // 1000)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SystemSimulator, "__init__", recording_init)
+        with obs.trace_session(trace=True) as tracer:
+            run_scenario(tiny_spec())
+            spans = tracer.spans()
+        (moment,) = built_at
+        open_spans = [s for s in spans if s.ts_us <= moment <= s.ts_us + s.dur_us]
+        assert open_spans, "SystemSimulator was built outside every span"
+        innermost = max(open_spans, key=lambda s: s.ts_us)
+        assert innermost.name == "scenario"
 
     def test_tracing_never_perturbs_results(self):
         plain = run_scenario(tiny_spec())
@@ -341,8 +361,8 @@ class TestExecutionOptionsTraceFields:
 
     def test_trace_is_never_a_spec_override(self, tmp_path):
         options = ExecutionOptions(trace=True, trace_out=str(tmp_path / "t"))
-        assert "trace" not in options.spec_overrides()
-        assert "trace_out" not in options.spec_overrides()
+        spec = tiny_spec()
+        assert options.resolve(spec) is spec
 
     def test_non_bool_trace_rejected(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from repro.cluster.cluster import ClusterConfig
 from repro.cluster.engine import available_engines, get_engine
 from repro.cluster.tiling import TileSchedule
 from repro.mem.hmc import Hmc
+from repro.options import ExecutionOptions
 from repro.scenarios import (
     FAMILIES,
     ScenarioSpec,
@@ -32,8 +33,6 @@ class TestScenarioSpec:
             num_vaults=1,
             clusters_per_vault=2,
             engine="scalar",
-            memoize=False,
-            parallel=2,
             stagger_cycles=5,
         )
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
@@ -82,8 +81,13 @@ class TestScenarioSpec:
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec(name="x", family="conv", num_tiles=-1)
-        with pytest.raises(ValueError):
-            ScenarioSpec(name="x", family="conv", parallel=-1)
+
+    @pytest.mark.parametrize("knob", ["memoize", "parallel"])
+    def test_execution_knobs_are_not_spec_fields(self, knob):
+        """Execution knobs live only in ExecutionOptions, never in a spec."""
+        data = {"name": "x", "family": "conv", knob: 0}
+        with pytest.raises(ValueError, match=rf"'{knob}'.*accepted: .*'engine'"):
+            ScenarioSpec.from_dict(data)
 
     def test_system_config_carries_the_knobs(self):
         spec = ScenarioSpec(
@@ -192,9 +196,13 @@ class TestWorkloadFamilies:
 
     def test_memoized_parallel_scenario_is_exact(self):
         """The system-scale accelerations compose with every family."""
-        plain = _run_family("dnn-training-step", num_tiles=4, memoize=False)
+        plain = _run_family(
+            "dnn-training-step", num_tiles=4,
+            options=ExecutionOptions(memoize=False),
+        )
         fast = _run_family(
-            "dnn-training-step", num_tiles=4, memoize=True, parallel=2
+            "dnn-training-step", num_tiles=4,
+            options=ExecutionOptions(memoize=True, parallel=2),
         )
         assert fast.result.cache_hits > 0
         assert fast.result.workers == 2

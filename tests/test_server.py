@@ -93,10 +93,10 @@ class TestExecutionOptions:
         with pytest.raises(ValueError, match="warp"):
             ExecutionOptions(engine="warp")
 
-    def test_parallel_true_means_cpu_count(self):
-        assert ExecutionOptions(parallel=True).parallel == (os.cpu_count() or 1)
-        assert ExecutionOptions(parallel=None).parallel == 0
-        assert ExecutionOptions(parallel=False).parallel == 0
+    @pytest.mark.parametrize("value", [True, False, None, 1.5])
+    def test_parallel_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="parallel worker count must be an integer"):
+            ExecutionOptions(parallel=value)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -114,13 +114,15 @@ class TestExecutionOptions:
         with pytest.raises(AttributeError):
             ExecutionOptions().parallel = 4
 
-    def test_spec_overrides_only_non_defaults(self):
-        assert ExecutionOptions().spec_overrides() == {}
-        overrides = ExecutionOptions(
-            engine="scalar", parallel=2, memoize=False, batch=False,
-            workers=4, quick=True,
-        ).spec_overrides()
-        assert overrides == {"engine": "scalar", "parallel": 2, "memoize": False}
+    def test_resolve_writes_only_the_engine(self):
+        spec = tiny_spec()
+        assert ExecutionOptions().resolve(spec) is spec
+        execution_only = ExecutionOptions(
+            parallel=2, memoize=False, batch=False, workers=4, quick=True,
+        )
+        assert execution_only.resolve(spec) is spec
+        resolved = ExecutionOptions(engine="scalar", parallel=2).resolve(spec)
+        assert resolved == spec.with_overrides(engine="scalar")
 
     def test_with_overrides_validates(self):
         options = ExecutionOptions().with_overrides(parallel=2)
@@ -174,13 +176,36 @@ class TestSubmissionParsing:
         ).job_id
         assert plain == batched
 
-    def test_spec_overrides_change_identity(self):
-        base = {"kind": "scenario", "spec": tiny_spec().to_dict()}
+    @pytest.mark.parametrize("kind", ["scenario", "campaign"])
+    def test_memoize_and_parallel_share_one_job_id(self, kind):
+        """memoize/parallel are execution-only: same job, one result."""
+        body = (
+            {"spec": tiny_spec().to_dict()} if kind == "scenario"
+            else {"sweep": tiny_sweep().to_dict()}
+        )
+        base = {"kind": kind, **body}
         plain = parse_submission(base).job_id
-        memoless = parse_submission(
-            {**base, "options": {"memoize": False}}
-        ).job_id
-        assert plain != memoless
+        for options in ({"memoize": False}, {"parallel": 2},
+                        {"memoize": False, "parallel": 2}):
+            assert parse_submission({**base, "options": options}).job_id == plain
+
+    def test_engine_override_changes_identity(self):
+        base = {"kind": "scenario", "spec": tiny_spec().to_dict()}
+        plain = parse_submission(base)
+        scalar = parse_submission({**base, "options": {"engine": "scalar"}})
+        assert scalar.spec.engine == "scalar"
+        assert scalar.job_id != plain.job_id
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"shard": "0/2"}, {"cache_dir": "elsewhere"}, {"trace": True}],
+    )
+    def test_daemon_owned_options_rejected(self, options):
+        with pytest.raises(JobError, match="cannot be set per job"):
+            parse_submission(
+                {"kind": "campaign", "sweep": tiny_sweep().to_dict(),
+                 "options": options}
+            )
 
     def test_quick_changes_campaign_identity(self):
         base = {"kind": "campaign", "sweep": tiny_sweep().to_dict()}

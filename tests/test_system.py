@@ -19,7 +19,7 @@ from repro.system import (
 
 
 def _run_system(
-    config, num_tiles, image_shape=(12, 14), parallel=None, memoize=True, seed=2019
+    config, num_tiles, image_shape=(12, 14), parallel=0, memoize=True, seed=2019
 ):
     """One end-to-end run; returns (simulator, workload, result, outputs)."""
     simulator = SystemSimulator(
@@ -168,7 +168,7 @@ class TestSystemSimulator:
 
     def test_more_clusters_than_tiles_leaves_idle_clusters(self):
         """Regression: a mostly-idle system must run, not error out."""
-        for parallel in (None, 2):
+        for parallel in (0, 2):
             config = SystemConfig(num_vaults=2, clusters_per_vault=4)
             simulator, workload, result, _ = _run_system(
                 config, num_tiles=3, parallel=parallel
@@ -362,7 +362,7 @@ class TestParallelDispatch:
     def test_parallel_run_is_bit_identical_to_sequential(self):
         config = SystemConfig(num_vaults=2, clusters_per_vault=2)
         _, _, sequential, outputs_seq = _run_system(
-            config, num_tiles=10, parallel=None
+            config, num_tiles=10, parallel=0
         )
         simulator, workload, parallel, outputs_par = _run_system(
             config, num_tiles=10, parallel=3
@@ -388,12 +388,10 @@ class TestParallelDispatch:
             r.tile_indices for r in runs[1].reports
         ]
 
-    def test_parallel_true_uses_at_most_cpu_count(self):
-        import os
-
-        config = SystemConfig(num_vaults=2, clusters_per_vault=4)
-        _, _, result, _ = _run_system(config, num_tiles=16, parallel=True)
-        assert 1 <= result.workers <= max(os.cpu_count() or 1, 1)
+    def test_parallel_is_capped_by_busy_clusters(self):
+        config = SystemConfig(num_vaults=1, clusters_per_vault=4)
+        _, _, result, _ = _run_system(config, num_tiles=8, parallel=16)
+        assert result.workers == 4
 
     def test_negative_parallel_rejected(self):
         with pytest.raises(ValueError):
