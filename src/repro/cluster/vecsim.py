@@ -45,8 +45,16 @@ from repro.core.vecops import (
     execute_streams,
     execute_streams_batched,
 )
+from repro.obs import metrics as _metrics
 
 __all__ = ["run_vectorized", "run_data_plane", "run_data_plane_batched"]
+
+_DATA_PLANE_COMMANDS = _metrics.counter(
+    "repro_data_plane_commands_total",
+    "Data-plane command executions, by path: fast (array replay), exact "
+    "(per-op executor by request) or refused (array replay declined)",
+    labelnames=("path",),
+)
 
 _IDLE, _SETUP, _RUN, _DRAIN = 0, 1, 2, 3
 
@@ -129,11 +137,12 @@ def _run_data_plane(
         ntx = cluster.ntx[ntx_id]
         for plan in plans:
             command = plan.command
-            fast_path = False
-            if not exact:
-                fast_path = execute_streams(command, plan.streams, tcdm)
+            fast_path = not exact and execute_streams(command, plan.streams, tcdm)
             if not fast_path:
                 execute_functional(ntx, command, tcdm)
+            _DATA_PLANE_COMMANDS.inc(
+                path="fast" if fast_path else "exact" if exact else "refused"
+            )
             stats = ntx.stats
             stats.commands += 1
             stats.iterations += plan.total
@@ -244,6 +253,9 @@ def run_data_plane_batched(
         for plan in plans:
             command = plan.command
             fast_path = execute_streams_batched(command, plan.streams, images, base)
+            _DATA_PLANE_COMMANDS.inc(
+                num_tiles, path="fast" if fast_path else "refused"
+            )
             if fast_path:
                 _account_accesses(tcdm, plan.streams, count=num_tiles)
             else:

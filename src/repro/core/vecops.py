@@ -196,14 +196,6 @@ def _raw_hazard(streams: CommandStreams) -> bool:
     )
 
 
-def _tcdm_view(tcdm) -> Optional[np.ndarray]:
-    """A float32 word view of the TCDM backing store."""
-    data = tcdm.memory.data
-    if not isinstance(data, (bytearray, bytes, memoryview)):  # pragma: no cover
-        return None
-    return np.frombuffer(data, dtype="<f4")
-
-
 def _in_tcdm(tcdm, addresses: Optional[np.ndarray]) -> bool:
     if addresses is None or len(addresses) == 0:
         return True
@@ -229,9 +221,7 @@ def execute_streams(command: NtxCommand, streams: CommandStreams, tcdm) -> bool:
             return False
     if _raw_hazard(streams):
         return False
-    view = _tcdm_view(tcdm)
-    if view is None:  # pragma: no cover - exotic memory backends
-        return False
+    view = tcdm.memory.words()
 
     base = tcdm.base
     a = view[(streams.read0 - base) >> 2] if streams.read0 is not None else None

@@ -37,8 +37,10 @@ class HmcConfig:
     #: DRAM banks per vault (4 dies x 4 banks in HMC 2.0 lingo, simplified).
     banks_per_vault: int = 4
     #: Total cube capacity in bytes.  The real device holds 1 GB; the model
-    #: defaults to 64 MB so unit tests do not allocate gigabytes, and the
-    #: performance model only uses the bandwidth/latency figures anyway.
+    #: defaults to 64 MB.  The backing :class:`~repro.mem.memory.Memory` is
+    #: lazily zeroed, so capacity costs time and resident memory only for
+    #: the pages a workload touches; the performance model only uses the
+    #: bandwidth/latency figures anyway.
     capacity_bytes: int = 64 * 1024 * 1024
     #: Peak bandwidth of one vault controller in bytes/s (10 GB/s per vault
     #: gives the 320 GB/s aggregate commonly quoted for HMC 2.0).

@@ -1,15 +1,20 @@
 """Flat byte-addressable memory.
 
 All storage in the model (TCDM data array, the 1.25 MB L2, DRAM vaults) is
-backed by this class: a bytearray with little-endian word accessors, float32
-accessors for the streaming datapath, and bulk NumPy load/store helpers used
-by the kernel library and the DMA engine.
+backed by this class: a zero-initialised NumPy ``uint8`` array with
+little-endian scalar accessors, a writable float32 :meth:`Memory.words`
+view for the array data plane, and bulk load/store helpers used by the
+kernel library and the DMA engine.
+
+``np.zeros`` allocates through ``calloc``, so a large memory is lazily
+zeroed: the OS maps a page in on its first touch, and an HMC whose
+workload touches a few MiB of its 64 MiB costs only those pages in time
+and resident memory.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +30,7 @@ class Memory:
         self.size = size
         self.base = base
         self.name = name
-        self.data = bytearray(size)
+        self.data = np.zeros(size, dtype=np.uint8)
         self.reads = 0
         self.writes = 0
 
@@ -48,7 +53,7 @@ class Memory:
 
     def read_u8(self, address: int) -> int:
         self.reads += 1
-        return self.data[self._offset(address, 1)]
+        return int(self.data[self._offset(address, 1)])
 
     def write_u8(self, address: int, value: int) -> None:
         self.writes += 1
@@ -89,12 +94,18 @@ class Memory:
     def read_bytes(self, address: int, length: int) -> bytes:
         self.reads += 1
         offset = self._offset(address, length)
-        return bytes(self.data[offset : offset + length])
+        return self.data[offset : offset + length].tobytes()
 
-    def write_bytes(self, address: int, payload: bytes) -> None:
+    def write_bytes(self, address: int, payload) -> None:
+        """Store any bytes-like ``payload`` (``bytes``, ``bytearray``, ...)."""
         self.writes += 1
-        offset = self._offset(address, len(payload))
-        self.data[offset : offset + len(payload)] = payload
+        raw = np.frombuffer(payload, dtype=np.uint8)
+        offset = self._offset(address, raw.size)
+        self.data[offset : offset + raw.size] = raw
+
+    def words(self) -> np.ndarray:
+        """A writable little-endian float32 view of the whole memory."""
+        return self.data.view("<f4")
 
     def store_array(self, address: int, array: np.ndarray) -> None:
         """Store a NumPy array as float32 (row-major) starting at ``address``."""
@@ -110,9 +121,6 @@ class Memory:
     def store_words(self, address: int, words: list[int]) -> None:
         for i, word in enumerate(words):
             self.write_u32(address + 4 * i, word)
-
-    def fill(self, value: int = 0) -> None:
-        self.data = bytearray([value & 0xFF] * self.size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Memory({self.name}, {self.size} B @ {self.base:#010x})"

@@ -417,7 +417,7 @@ def _replay_group_batched(
     tcdm_base = tcdm_cfg.base_address
     hmc = item0.cluster.hmc
     hmc_base = hmc.base
-    hmc_u8 = np.frombuffer(hmc.memory.data, dtype=np.uint8)
+    hmc_u8 = hmc.memory.data
 
     images = np.zeros((num_tiles, tcdm_cfg.size_bytes // _WORD), dtype=np.float32)
     images_u8 = images.view(np.uint8)

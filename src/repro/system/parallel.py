@@ -40,7 +40,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -57,7 +57,6 @@ __all__ = [
     "WorkerTask",
     "WorkerOutcome",
     "stage_row_specs",
-    "required_hmc_capacity",
     "execute_worker_task",
     "run_clusters_parallel",
 ]
@@ -135,9 +134,6 @@ class WorkerTask:
     memoize: bool = True
     #: Whether to replay cache-hit tiles in stacked batches inside the worker.
     batch: bool = True
-    #: HMC capacity the worker actually needs (its tiles' address span);
-    #: workers do not duplicate the parent's full DRAM allocation.
-    hmc_capacity_bytes: int = 0
     #: Capture :mod:`repro.obs` spans inside the worker (shipped home in
     #: the outcome so the parent's trace gets one track per worker).
     trace: bool = False
@@ -186,24 +182,6 @@ def stage_row_specs(
     return input_rows, output_rows, cursor
 
 
-def required_hmc_capacity(
-    config: SystemConfig, clusters: Sequence[ClusterWork]
-) -> int:
-    """Smallest HMC capacity covering every address the group's tiles touch."""
-    base = config.hmc.base_address
-    top = 0
-    for work in clusters:
-        for _, tile in work.assigned:
-            for transfer in (*tile.transfers_in, *tile.transfers_out):
-                for src, dst in transfer.row_addresses():
-                    for address in (src, dst):
-                        if address >= base:
-                            top = max(top, address + transfer.row_bytes - base)
-    page = 4096
-    capped = min(-(-top // page) * page, config.hmc.capacity_bytes)
-    return max(capped, page)
-
-
 def execute_worker_task(task: WorkerTask) -> WorkerOutcome:
     """Worker entry point: run one cluster group against a private HMC.
 
@@ -237,16 +215,13 @@ def _execute_worker_task_body(task: WorkerTask) -> WorkerOutcome:
     if crash == "exit":
         os._exit(17)
 
-    hmc_config = task.config.hmc
-    if 0 < task.hmc_capacity_bytes < hmc_config.capacity_bytes:
-        hmc_config = replace(hmc_config, capacity_bytes=task.hmc_capacity_bytes)
-    hmc = Hmc(hmc_config)
+    hmc = Hmc(task.config.hmc)
     segment = _attach_segment(task.segment_name)
     try:
         buffer = segment.buf
         for row in task.input_rows:
             hmc.memory.write_bytes(
-                row.address, bytes(buffer[row.offset : row.offset + row.length])
+                row.address, buffer[row.offset : row.offset + row.length]
             )
         cache: Optional[TileTimingCache] = None
         if task.memoize:
@@ -355,7 +330,6 @@ def run_clusters_parallel(
     segments: List[shared_memory.SharedMemory] = []
     try:
         for task in tasks:
-            task.hmc_capacity_bytes = required_hmc_capacity(config, task.clusters)
             cursor = 0
             for work in task.clusters:
                 input_rows, output_rows, cursor = stage_row_specs(

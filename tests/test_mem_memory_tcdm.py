@@ -1,5 +1,10 @@
 """Unit tests for the flat memory, the TCDM and its bank mapping."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -53,6 +58,56 @@ class TestMemory:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             Memory(0)
+
+    def test_words_view_shares_storage(self):
+        mem = Memory(32, base=0x100)
+        mem.write_f32(0x108, 2.5)
+        words = mem.words()
+        assert words.dtype == np.dtype("<f4") and words.shape == (8,)
+        assert words[2] == np.float32(2.5)
+        words[5] = np.float32(-0.75)
+        assert mem.read_f32(0x114) == -0.75
+
+    def test_scalar_accessor_types(self):
+        mem = Memory(16)
+        mem.write_u8(1, 0xAB)
+        value = mem.read_u8(1)
+        assert type(value) is int and value == 0xAB
+        assert type(mem.read_bytes(0, 4)) is bytes
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_write_bytes_accepts_bytes_like(self, kind):
+        mem = Memory(16)
+        mem.write_bytes(4, kind(b"\x01\x02\x03"))
+        assert mem.read_bytes(3, 5) == b"\x00\x01\x02\x03\x00"
+
+
+_RSS_PROBE = """
+import re
+from repro.system import SystemConfig, SystemSimulator
+
+def rss_kib():
+    with open("/proc/self/status") as status:
+        return int(re.search(r"VmRSS:\\s+(\\d+) kB", status.read()).group(1))
+
+before = rss_kib()
+simulators = [SystemSimulator(SystemConfig()) for _ in range(8)]
+print(rss_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_untouched_hmc_costs_no_resident_memory():
+    """Eight default simulators (a 64 MiB HMC each) stay far below one HMC
+    of resident growth: pages are only paid for once touched."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    growth_mib = int(result.stdout.strip()) / 1024
+    assert growth_mib < 64, f"8 simulators grew RSS by {growth_mib:.0f} MiB"
 
 
 class TestTcdm:
