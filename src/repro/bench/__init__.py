@@ -2,7 +2,7 @@
 
 ``python -m repro.bench`` executes the benchmark suites — the single-cluster
 cycle engine, the ``repro.system`` scale-out path in its sequential,
-memoized and parallel variants, every registered workload scenario and
+memoized and batched variants, every registered workload scenario and
 every registered design-space campaign — and writes one schema-valid
 ``BENCH_<suite>.json`` per suite (wall time, simulated cycles, cycles per
 second, timing-cache hit rate, same-host speedups).  ``python -m repro.bench

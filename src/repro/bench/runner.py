@@ -78,9 +78,9 @@ __all__ = [
 #: Workload sizes per suite: quick keeps CI under a few seconds, full is
 #: what the measured numbers in docs/performance.md are taken from.
 _SYSTEM_SIZES = {
-    # (image shape, tiles, parallel workers)
-    True: ((24, 28), 32, 2),
-    False: ((48, 52), 48, 2),
+    # (image shape, tiles)
+    True: ((24, 28), 32),
+    False: ((48, 52), 48),
 }
 _CLUSTER_SIZES = {
     True: (32, 36),
@@ -107,13 +107,12 @@ def _scenario(
 
 
 def _run_system_variant(
-    quick: bool, parallel: int, memoize: bool, batch: bool = False
+    quick: bool, memoize: bool, batch: bool = False
 ) -> Tuple[float, "object"]:
     """One end-to-end system run; returns (wall seconds, SystemResult)."""
-    shape, tiles, _ = _SYSTEM_SIZES[quick]
+    shape, tiles = _SYSTEM_SIZES[quick]
     simulator = SystemSimulator(
-        SystemConfig(),
-        options=ExecutionOptions(parallel=parallel, memoize=memoize, batch=batch),
+        SystemConfig(), options=ExecutionOptions(memoize=memoize, batch=batch)
     )
     workload = conv_tiled_workload(
         simulator.hmc, num_tiles=tiles, image_shape=shape
@@ -126,8 +125,7 @@ def _run_system_variant(
 
 
 def _system_suite(quick: bool) -> List[Dict]:
-    _, _, workers = _SYSTEM_SIZES[quick]
-    wall_seq, result_seq = _run_system_variant(quick, parallel=0, memoize=False)
+    wall_seq, result_seq = _run_system_variant(quick, memoize=False)
     scenarios = [
         _scenario(
             "system-sequential",
@@ -136,7 +134,7 @@ def _system_suite(quick: bool) -> List[Dict]:
             result_seq.makespan_cycles,
         )
     ]
-    wall_memo, result_memo = _run_system_variant(quick, parallel=0, memoize=True)
+    wall_memo, result_memo = _run_system_variant(quick, memoize=True)
     scenarios.append(
         _scenario(
             "system-memoized",
@@ -148,7 +146,7 @@ def _system_suite(quick: bool) -> List[Dict]:
         )
     )
     wall_batch, result_batch = _run_system_variant(
-        quick, parallel=0, memoize=True, batch=True
+        quick, memoize=True, batch=True
     )
     scenarios.append(
         _scenario(
@@ -159,20 +157,6 @@ def _system_suite(quick: bool) -> List[Dict]:
             cache_hit_rate=result_batch.cache_hit_rate,
             speedup_vs_sequential=wall_seq / wall_batch if wall_batch else 0.0,
             speedup_vs_memoized=wall_memo / wall_batch if wall_batch else 0.0,
-        )
-    )
-    wall_par, result_par = _run_system_variant(
-        quick, parallel=workers, memoize=True, batch=True
-    )
-    scenarios.append(
-        _scenario(
-            "system-memoized-parallel",
-            f"timing cache and batched replay plus {workers} worker processes",
-            wall_par,
-            result_par.makespan_cycles,
-            cache_hit_rate=result_par.cache_hit_rate,
-            speedup_vs_sequential=wall_seq / wall_par if wall_par else 0.0,
-            workers=result_par.workers,
         )
     )
     return scenarios
@@ -406,13 +390,13 @@ def _obs_suite(quick: bool) -> List[Dict]:
         REGISTRY.set_enabled(False)
         TRACER.set_enabled(False)
         off = [
-            _run_system_variant(quick, parallel=0, memoize=True, batch=True)
+            _run_system_variant(quick, memoize=True, batch=True)
             for _ in range(repeats)
         ]
         REGISTRY.set_enabled(True)
         TRACER.set_enabled(True)
         on = [
-            _run_system_variant(quick, parallel=0, memoize=True, batch=True)
+            _run_system_variant(quick, memoize=True, batch=True)
             for _ in range(repeats)
         ]
     finally:

@@ -62,7 +62,7 @@ def point_id(spec: ScenarioSpec) -> str:
     The hash covers everything the run measures — workload family and
     parameters, geometry, engine, seed — but not the ``name`` and
     ``description``, which are presentation only.  Execution knobs are
-    not spec fields, so memoized and parallel runs share one id.  Records
+    not spec fields, so memoized and unmemoized runs share one id.  Records
     in a campaign's result store are keyed by this, so a point whose
     definition changes in any run-relevant way is re-executed rather
     than wrongly resumed, while renaming a scenario or campaign leaves

@@ -34,8 +34,8 @@ from what is actually runnable.  The parsers themselves are exposed as
 ``docs/reference.md`` documents every flag without hand-maintained
 prose.
 
-Execution flags (``--engine/--parallel/--no-memoize/--no-batch/
---workers/--quick``) are not hand-copied per subcommand: they are
+Execution flags (``--engine/--no-memoize/--no-batch/--workers/
+--quick``) are not hand-copied per subcommand: they are
 derived from the :class:`~repro.options.ExecutionOptions` fields by
 :func:`add_execution_flags` and parsed back into one options object by
 :func:`options_from_args`, so the CLI surface cannot drift from the
@@ -69,7 +69,7 @@ _LOG = obs.get_logger("cli")
 
 def add_execution_flags(
     parser: argparse.ArgumentParser,
-    include: Sequence[str] = ("engine", "parallel", "memoize", "batch"),
+    include: Sequence[str] = ("engine", "memoize", "batch"),
 ) -> None:
     """Add the command-line flags derived from :class:`ExecutionOptions`.
 
@@ -177,7 +177,7 @@ def build_scenario_parser() -> argparse.ArgumentParser:
     )
     add_execution_flags(
         run_parser,
-        include=("engine", "parallel", "memoize", "batch", "trace", "trace_out"),
+        include=("engine", "memoize", "batch", "trace", "trace_out"),
     )
     obs.add_logging_flags(run_parser)
     return parser
@@ -244,7 +244,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     add_store_options(run_parser)
     add_execution_flags(
         run_parser,
-        include=("parallel", "memoize", "batch", "workers", "quick", "cache_dir",
+        include=("memoize", "batch", "workers", "quick", "cache_dir",
                  "shard", "trace", "trace_out"),
     )
     obs.add_logging_flags(run_parser)
@@ -611,7 +611,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
         help="how long --wait polls before giving up (default: 600)",
     )
     add_execution_flags(
-        parser, include=("engine", "parallel", "memoize", "batch", "workers", "quick")
+        parser, include=("engine", "memoize", "batch", "workers", "quick")
     )
     return parser
 

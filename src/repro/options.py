@@ -1,18 +1,17 @@
 """The unified execution-options API shared by every entry point.
 
-Every execution knob — cycle engine, worker processes, tile-timing
-memoization, batched cache-hit replay, campaign worker pools, quick
-mode — lives in one frozen, JSON-round-trippable
-:class:`ExecutionOptions`, which is what makes a *serializable* job
+Every execution knob — cycle engine, tile-timing memoization, batched
+cache-hit replay, campaign worker pools, quick mode — lives in one
+frozen, JSON-round-trippable :class:`ExecutionOptions`, which is what makes a *serializable* job
 submission possible: the :mod:`repro.server` payload embeds it verbatim,
-``python -m repro.eval`` derives its ``--engine/--parallel/--no-memoize/
---no-batch/--workers/--quick`` flags from its fields, and
+``python -m repro.eval`` derives its ``--engine/--no-memoize/--no-batch/
+--workers/--quick`` flags from its fields, and
 :class:`~repro.system.simulator.SystemSimulator`,
 :func:`~repro.scenarios.runner.run_scenario` and
 :func:`~repro.campaign.runner.run_campaign` accept it as ``options=``.
 
 Every option is *exact*: engine choice, memoization, batching and
-parallel dispatch never change simulated cycle counts or HMC contents,
+campaign worker pools never change simulated cycle counts or HMC contents,
 only wall time — which is why two submissions differing only in these
 knobs may legitimately share one server-side result.  Only ``engine`` is
 also a spec field (campaigns sweep it); :meth:`ExecutionOptions.resolve`
@@ -73,11 +72,6 @@ class ExecutionOptions:
         default=None,
         metadata={"cli": "override the cycle engine (default: the spec's own)"},
     )
-    #: Worker processes for cluster dispatch (0 = in-process).
-    parallel: int = field(
-        default=0,
-        metadata={"cli": "dispatch clusters onto N worker processes"},
-    )
     #: Tile-timing memoization (exact; see :mod:`repro.system.memo`).
     memoize: bool = field(
         default=True,
@@ -135,12 +129,10 @@ class ExecutionOptions:
             from repro.cluster.engine import get_engine  # avoid import cycle
 
             get_engine(self.engine)  # unknown names raise listing the choices
-        for name, label in (("parallel", "parallel worker"), ("workers", "worker")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{label} count must be an integer")
-            if value < 0:
-                raise ValueError(f"{label} count must be non-negative")
+        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
+            raise ValueError("worker count must be an integer")
+        if self.workers < 0:
+            raise ValueError("worker count must be non-negative")
         for name in ("memoize", "batch", "quick", "trace"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a boolean")

@@ -6,7 +6,7 @@ hash** of everything that shapes its results — the fully resolved
 :class:`~repro.campaign.spec.SweepSpec` plus quick flag) after the
 submission's ``engine`` option is written into it
 (:meth:`~repro.options.ExecutionOptions.resolve`).  Every other
-execution knob (``parallel``, ``memoize``, ``batch``, ``workers``) is
+execution knob (``memoize``, ``batch``, ``workers``, ...) is
 *excluded* from the identity, because every execution path is exact: two
 submissions differing only in those knobs are one job with one result.
 

@@ -15,9 +15,6 @@
 * :mod:`repro.system.batch` — cross-tile batched replay: cache-hit tiles
   sharing one timing signature execute their data planes as a single
   stacked NumPy dispatch, guarded by a per-group self-containment gate.
-* :mod:`repro.system.parallel` — multiprocessing dispatch of independent
-  clusters to worker processes over shared-memory staging segments, with
-  a deterministic merge.
 * :mod:`repro.system.workloads` — workload builders (tiles staged in the
   HMC, verified against NumPy references after the run).
 """

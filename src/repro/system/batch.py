@@ -27,12 +27,10 @@ commands of the same tile (own-command RAW reads resolve like the
 unbatched fast path), and every byte its DMA-out transfers push back must
 be covered by its DMA-in data or its command stores.  A self-contained
 tile computes the same result on a zero-initialised private image as on
-the residue-carrying shared TCDM — which is also what the parallel
-dispatcher has always assumed when it rebuilds fresh scratchpads in worker
-processes.  If *any* tile of a run fails the gate (or stages outside the
-HMC↔TCDM address classes), the whole run falls back to the per-tile
-sequential path before any state was touched, so correctness never
-depends on the gate being clever.
+the residue-carrying shared TCDM.  If *any* tile of a run fails the gate
+(or stages outside the HMC↔TCDM address classes), the whole run falls
+back to the per-tile sequential path before any state was touched, so
+correctness never depends on the gate being clever.
 
 Statistics are mirrored so a batched run's reports equal the sequential
 run's: DMA engine/AXI/memory counters are credited per member on its own

@@ -20,7 +20,8 @@ deliver, every transfer is slowed by the resulting contention factor —
 the mechanism behind the compute plateau of the paper's biggest
 configurations (Table II).
 
-Three system-scale accelerations sit on top of that machinery, all exact:
+Two system-scale accelerations sit on top of that machinery, both exact
+and both in-process:
 
 * **Tile-timing memoization** (on by default,
   ``ExecutionOptions(memoize=False)`` disables it): tiles whose engine/command-stream/cluster-configuration
@@ -34,11 +35,10 @@ Three system-scale accelerations sit on top of that machinery, all exact:
   tile (:mod:`repro.system.batch`).  Guarded by a per-group
   self-containment gate, with a global fallback to the per-tile path when
   any tile fails it.
-* **Parallel dispatch** (``ExecutionOptions(parallel=N)``): independent
-  clusters run in worker processes and their HMC writes are merged back in
-  deterministic cluster order (:mod:`repro.system.parallel`).  Requires
-  what the work-queue contract already assumes — tiles do not read each
-  other's outputs.
+
+Each :meth:`SystemSimulator.run` takes exactly one of two paths, batched
+replay or the per-tile path, and counts which one (and why) in
+``repro_system_dispatch_total{path=batched|refused|per_tile}``.
 """
 
 from __future__ import annotations
@@ -69,6 +69,13 @@ _TILE_MISSES = _metrics.counter(
 )
 _TILE_ENTRIES = _metrics.gauge(
     "repro_tile_cache_entries", "Distinct timing signatures cached"
+)
+_DISPATCH = _metrics.counter(
+    "repro_system_dispatch_total",
+    "System runs, by path: batched (batched replay served the run), refused "
+    "(the self-containment gate fell back to per-tile) or per_tile "
+    "(memoize or batch off)",
+    labelnames=("path",),
 )
 _PHASE_SECONDS = _metrics.histogram(
     "repro_phase_seconds",
@@ -121,8 +128,6 @@ class SystemResult:
     #: Timing-cache accounting of this run (zero when memoization is off).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Worker processes the run was dispatched onto (1 = in-process).
-    workers: int = 1
 
     @property
     def num_tiles(self) -> int:
@@ -200,7 +205,6 @@ class SystemResult:
             "dma_gbs": self.offered_dma_bandwidth_bytes_per_s / 1e9,
             "contention_factor": self.contention_factor,
             "cache_hit_rate": self.cache_hit_rate,
-            "workers": self.workers,
         }
 
 
@@ -214,12 +218,12 @@ def run_cluster_tiles(
     """Execute ``assigned`` tiles on ``cluster`` and report what happened.
 
     ``assigned`` pairs each tile with its workload-global index.  This is
-    the single per-cluster execution path: the sequential dispatcher calls
-    it in-process, the parallel dispatcher calls it inside each worker.
-    When ``cache`` is given, tile timing is memoized — a hit replays the
-    cached :class:`~repro.cluster.sim.SimulationResult` and only executes
-    the data plane (DMA plus functional command execution), which keeps
-    the HMC bit-identical to an uncached run.
+    the per-tile execution path :meth:`SystemSimulator.run` takes whenever
+    batched replay does not serve the run.  When ``cache`` is given, tile
+    timing is memoized — a hit replays the cached
+    :class:`~repro.cluster.sim.SimulationResult` and only executes the
+    data plane (DMA plus functional command execution), which keeps the
+    HMC bit-identical to an uncached run.
 
     ``busy_cycles`` is left at zero; the caller derives it (and the
     bandwidth-contention stretch) from the per-tile cycle lists.
@@ -280,14 +284,13 @@ class SystemSimulator:
     ) -> None:
         """``options`` selects the execution path; see :mod:`repro.options`.
 
-        ``options.parallel`` worker processes dispatch the clusters (0
-        and 1 run in-process), ``options.memoize`` toggles the tile
-        timing cache (which persists across :meth:`run` calls), and
-        ``options.batch`` (on by default) replays cache-hit tiles in
-        stacked same-signature groups (:mod:`repro.system.batch`) —
-        bit-identical to the per-tile path, and much faster once the
-        cache is warm; it engages only when memoization is on and every
-        tile passes the self-containment gate.  A non-``None``
+        ``options.memoize`` toggles the tile timing cache (which
+        persists across :meth:`run` calls), and ``options.batch`` (on by
+        default) replays cache-hit tiles in stacked same-signature groups
+        (:mod:`repro.system.batch`) — bit-identical to the per-tile path,
+        and much faster once the cache is warm; it engages only when
+        memoization is on and every tile passes the self-containment
+        gate.  A non-``None``
         ``options.engine`` overrides the engine of ``config``.
 
         A caller running many simulators over structurally similar
@@ -329,12 +332,6 @@ class SystemSimulator:
         costs = [self._estimate_cost(tile) for tile in tiles]
         return self.scheduler.assign(costs, self.config.num_clusters)
 
-    def _effective_workers(self, busy_clusters: int) -> int:
-        """Resolve the ``parallel`` request against the work at hand."""
-        if busy_clusters <= 1:
-            return 1
-        return min(max(self.options.parallel, 1), busy_clusters)
-
     # -- execution ------------------------------------------------------------
 
     def run(self, tiles: Sequence[TileSchedule]) -> SystemResult:
@@ -348,58 +345,48 @@ class SystemSimulator:
         cache = self.timing_cache if self.options.memoize else None
         hits_before = self.timing_cache.hits
         misses_before = self.timing_cache.misses
-        busy_clusters = sum(1 for indices in plan.tiles_of if indices)
-        workers = self._effective_workers(busy_clusters)
+        reports = None
+        if self.options.batch and cache is not None:
+            from repro.system.batch import (
+                ClusterAssignment,
+                run_cluster_groups_batched,
+            )
 
-        if workers > 1:
-            from repro.system.parallel import run_clusters_parallel
-
-            with _PHASE_SECONDS.time(phase="cycle-sim"), _trace.span(
-                "parallel-dispatch", workers=workers, clusters=busy_clusters
+            work = [
+                ClusterAssignment(
+                    cluster_id=cluster_id,
+                    vault_id=vault_of[cluster_id],
+                    cluster=self.clusters[cluster_id],
+                    assigned=[(index, tiles[index]) for index in tile_indices],
+                )
+                for cluster_id, tile_indices in enumerate(plan.tiles_of)
+            ]
+            # ``None`` means some tile failed the self-containment gate
+            # (checked before any state was touched): fall back to the
+            # ordinary per-tile path below.
+            with _PHASE_SECONDS.time(phase="batched-replay"), _trace.span(
+                "batched-replay", tiles=len(tiles)
             ):
-                reports = run_clusters_parallel(
-                    config, plan, tiles, self.hmc, cache, workers, batch=self.options.batch
-                )
+                reports = run_cluster_groups_batched(config, work, cache)
+            _DISPATCH.inc(path="batched" if reports is not None else "refused")
         else:
-            reports = None
-            if self.options.batch and cache is not None:
-                from repro.system.batch import (
-                    ClusterAssignment,
-                    run_cluster_groups_batched,
-                )
-
-                work = [
-                    ClusterAssignment(
-                        cluster_id=cluster_id,
-                        vault_id=vault_of[cluster_id],
-                        cluster=self.clusters[cluster_id],
-                        assigned=[(index, tiles[index]) for index in tile_indices],
-                    )
-                    for cluster_id, tile_indices in enumerate(plan.tiles_of)
-                ]
-                # ``None`` means some tile failed the self-containment
-                # gate (checked before any state was touched): fall back
-                # to the ordinary per-tile path below.
-                with _PHASE_SECONDS.time(phase="batched-replay"), _trace.span(
-                    "batched-replay", tiles=len(tiles)
-                ):
-                    reports = run_cluster_groups_batched(config, work, cache)
-            if reports is None:
-                reports = []
-                with _PHASE_SECONDS.time(phase="cycle-sim"):
-                    for cluster_id, tile_indices in enumerate(plan.tiles_of):
-                        with _trace.TRACER.track(f"cluster-{cluster_id}"), _trace.span(
-                            "cluster-tiles", cluster=cluster_id, tiles=len(tile_indices)
-                        ):
-                            report = run_cluster_tiles(
-                                self.clusters[cluster_id],
-                                config,
-                                [(index, tiles[index]) for index in tile_indices],
-                                vault_of[cluster_id],
-                                cache,
-                            )
-                        report.cluster_id = cluster_id
-                        reports.append(report)
+            _DISPATCH.inc(path="per_tile")
+        if reports is None:
+            reports = []
+            with _PHASE_SECONDS.time(phase="cycle-sim"):
+                for cluster_id, tile_indices in enumerate(plan.tiles_of):
+                    with _trace.TRACER.track(f"cluster-{cluster_id}"), _trace.span(
+                        "cluster-tiles", cluster=cluster_id, tiles=len(tile_indices)
+                    ):
+                        report = run_cluster_tiles(
+                            self.clusters[cluster_id],
+                            config,
+                            [(index, tiles[index]) for index in tile_indices],
+                            vault_of[cluster_id],
+                            cache,
+                        )
+                    report.cluster_id = cluster_id
+                    reports.append(report)
 
         with _PHASE_SECONDS.time(phase="merge"), _trace.span("merge"):
             # First pass: per-cluster double-buffered busy time without
@@ -443,5 +430,4 @@ class SystemSimulator:
             contention_factor=contention,
             cache_hits=self.timing_cache.hits - hits_before,
             cache_misses=self.timing_cache.misses - misses_before,
-            workers=workers,
         )

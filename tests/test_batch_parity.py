@@ -2,19 +2,17 @@
 
 The batched cache-hit path promises *bit-identical* results to the plain
 sequential scalar path — same HMC bytes, same timing reports — across
-every combination of cycle engine, memoization, parallel dispatch and
-batching.  This file holds that promise in place:
+every combination of cycle engine, memoization and batching.  This file holds that promise in place:
 
-* a fixed accelerator matrix (engine x memoize x parallel x batch) checked
+* a fixed accelerator matrix (engine x memoize x batch) checked
   against one sequential scalar reference run,
 * a seeded randomized fuzz sweep over tile shapes, tile counts and
   cluster topologies (full depth under ``-m slow``, a short prefix in the
   default quick run),
 * the self-containment gate: a tile whose compute reads TCDM residue that
   no DMA staged must send the *whole* run down the per-tile fallback
-  before any state is touched,
-* the shared-memory segment lifecycle of the parallel dispatcher — normal
-  runs and injected worker crashes both leave zero segments behind,
+  before any state is touched, and ``repro_system_dispatch_total`` counts
+  which path each run took,
 * the acceptance gate: batched memoized replay is >= 5x faster than the
   unmemoized sequential path on the system bench shape, with identical
   outputs.
@@ -27,11 +25,11 @@ vectorized engine, where no cross-engine rounding question arises.
 
 import math
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+from repro.obs.metrics import REGISTRY
 from repro.options import ExecutionOptions
 from repro.scenarios.workloads import _lattice
 from repro.system import (
@@ -41,7 +39,6 @@ from repro.system import (
     conv_tiled_workload,
     run_cluster_groups_batched,
 )
-from repro.system import parallel as parallel_mod
 from repro.system.memo import TileTimingCache
 
 
@@ -51,7 +48,6 @@ def _run(
     seed=2019,
     engine="vectorized",
     memoize=True,
-    parallel=0,
     batch=True,
     config=None,
     draw=_lattice,
@@ -60,8 +56,7 @@ def _run(
     if config is None:
         config = SystemConfig(engine=engine)
     simulator = SystemSimulator(
-        config,
-        options=ExecutionOptions(parallel=parallel, memoize=memoize, batch=batch),
+        config, options=ExecutionOptions(memoize=memoize, batch=batch)
     )
     workload = conv_tiled_workload(
         simulator.hmc,
@@ -82,9 +77,8 @@ def _hmc_bytes(simulator):
 def _timing_view(result):
     """Everything timing-related a run reports, for exact comparison.
 
-    ``cache_hits``/``cache_misses``/``workers`` are accounting of the
-    acceleration machinery itself (a parallel run takes one miss per
-    worker group by design) and deliberately excluded; every modeled
+    ``cache_hits``/``cache_misses`` are accounting of the acceleration
+    machinery itself and deliberately excluded; every modeled
     quantity — makespan, contention, per-tile cycles, per-tile simulation
     results — must match bit for bit.
     """
@@ -122,22 +116,19 @@ def _assert_matches_reference(reference, candidate):
 @pytest.fixture(scope="module")
 def scalar_reference():
     """The ground truth: sequential scalar engine, no acceleration at all."""
-    return _run(engine="scalar", memoize=False, parallel=0, batch=False)
+    return _run(engine="scalar", memoize=False, batch=False)
 
 
 class TestAcceleratorMatrix:
-    """Every engine x memoize x parallel x batch combination vs the reference."""
+    """Every engine x memoize x batch combination vs the reference."""
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     @pytest.mark.parametrize("memoize", [False, True])
-    @pytest.mark.parametrize("parallel", [0, 2])
     @pytest.mark.parametrize("batch", [False, True])
     def test_combination_matches_scalar_sequential(
-        self, scalar_reference, engine, memoize, parallel, batch
+        self, scalar_reference, engine, memoize, batch
     ):
-        candidate = _run(
-            engine=engine, memoize=memoize, parallel=parallel, batch=batch
-        )
+        candidate = _run(engine=engine, memoize=memoize, batch=batch)
         _assert_matches_reference(scalar_reference, candidate)
 
     def test_batched_run_actually_hits_the_cache(self):
@@ -192,17 +183,15 @@ def _fuzz_one(draw, combos):
         image_shape=draw["image_shape"],
         seed=draw["seed"],
         memoize=False,
-        parallel=0,
         batch=False,
         config=SystemConfig(engine="scalar", **draw["config_kwargs"]),
     )
-    for engine, memoize, parallel, batch in combos:
+    for engine, memoize, batch in combos:
         candidate = _run(
             num_tiles=draw["num_tiles"],
             image_shape=draw["image_shape"],
             seed=draw["seed"],
             memoize=memoize,
-            parallel=parallel,
             batch=batch,
             config=SystemConfig(engine=engine, **draw["config_kwargs"]),
         )
@@ -211,14 +200,13 @@ def _fuzz_one(draw, combos):
 
 class TestFuzzParity:
     QUICK_COMBOS = [
-        ("vectorized", True, 0, True),
-        ("scalar", True, 0, True),
+        ("vectorized", True, True),
+        ("scalar", True, True),
     ]
     FULL_COMBOS = [
-        (engine, memoize, parallel, batch)
+        (engine, memoize, batch)
         for engine in ("scalar", "vectorized")
         for memoize in (False, True)
-        for parallel in (0, 2)
         for batch in (False, True)
     ]
 
@@ -235,24 +223,26 @@ class TestFuzzParity:
 # -- the self-containment gate -------------------------------------------------
 
 
+def _doctored(simulator, num_tiles=6):
+    """A workload one of whose interior tiles fails the gate."""
+    workload = conv_tiled_workload(
+        simulator.hmc, num_tiles=num_tiles, image_shape=(12, 14), draw=_lattice
+    )
+    # Strip the staging DMA of one interior tile: its commands now read
+    # uncovered TCDM words, so the group containing it is not
+    # self-contained.
+    workload.tiles[2].transfers_in = []
+    return workload
+
+
 class TestSelfContainmentGate:
     """A tile whose reads are not covered by its own DMA-in rows (it reads
     whatever residue the previous tile left in the TCDM) must force the
     whole run down the per-tile path — before any state is touched."""
 
-    def _doctored(self, simulator, num_tiles=6):
-        workload = conv_tiled_workload(
-            simulator.hmc, num_tiles=num_tiles, image_shape=(12, 14), draw=_lattice
-        )
-        # Strip the staging DMA of one interior tile: its commands now read
-        # uncovered TCDM words, so the group containing it is not
-        # self-contained.
-        workload.tiles[2].transfers_in = []
-        return workload
-
     def test_gate_refuses_the_group(self):
         simulator = SystemSimulator(SystemConfig())
-        workload = self._doctored(simulator)
+        workload = _doctored(simulator)
         plan = simulator.shard(workload.tiles)
         vault_of = simulator.config.vault_of_cluster
         work = [
@@ -279,7 +269,7 @@ class TestSelfContainmentGate:
             simulator = SystemSimulator(
                 SystemConfig(), options=ExecutionOptions(batch=batch)
             )
-            workload = self._doctored(simulator)
+            workload = _doctored(simulator)
             result = simulator.run(workload.tiles)
             runs.append((simulator, workload, result))
         (ref_sim, _, ref_result), (sim, _, result) = runs
@@ -287,51 +277,36 @@ class TestSelfContainmentGate:
         assert _timing_view(result) == _timing_view(ref_result)
 
 
-# -- shared-memory segment lifecycle -------------------------------------------
+def _dispatch_counts() -> dict:
+    counter = REGISTRY.get("repro_system_dispatch_total")
+    return {
+        path: counter.value(path=path)
+        for path in ("batched", "refused", "per_tile")
+    }
 
 
-class TestSharedMemoryLifecycle:
-    def _track_segments(self, monkeypatch):
-        """Record the name of every segment the dispatcher creates."""
-        created = []
-        real = parallel_mod._create_segment
+class TestDispatchCounter:
+    """``repro_system_dispatch_total`` counts each run once, by path."""
 
-        def tracking(num_bytes):
-            segment = real(num_bytes)
-            created.append(segment.name)
-            return segment
+    def test_batched_run_counts_batched(self):
+        REGISTRY.set_enabled(True)
+        _run(memoize=True, batch=True)
+        assert _dispatch_counts() == {"batched": 1, "refused": 0, "per_tile": 0}
 
-        monkeypatch.setattr(parallel_mod, "_create_segment", tracking)
-        return created
+    def test_gate_refusal_counts_refused(self):
+        REGISTRY.set_enabled(True)
+        simulator = SystemSimulator(SystemConfig())
+        workload = _doctored(simulator)
+        simulator.run(workload.tiles)
+        assert _dispatch_counts() == {"batched": 0, "refused": 1, "per_tile": 0}
 
-    def _assert_all_unlinked(self, names):
-        assert not parallel_mod._ACTIVE_SEGMENTS
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_normal_run_unlinks_every_segment(self, monkeypatch):
-        created = self._track_segments(monkeypatch)
-        _run(parallel=2, memoize=True, batch=True)
-        assert created  # the run really went through the staging path
-        self._assert_all_unlinked(created)
-
-    def test_worker_exception_surfaces_and_unlinks(self, monkeypatch):
-        created = self._track_segments(monkeypatch)
-        monkeypatch.setenv(parallel_mod.CRASH_ENV, "raise")
-        with pytest.raises(RuntimeError, match="injected worker crash"):
-            _run(parallel=2, memoize=True, batch=True)
-        assert created
-        self._assert_all_unlinked(created)
-
-    def test_worker_hard_death_surfaces_and_unlinks(self, monkeypatch):
-        """os._exit in a worker must raise a clear error, not hang."""
-        created = self._track_segments(monkeypatch)
-        monkeypatch.setenv(parallel_mod.CRASH_ENV, "exit")
-        with pytest.raises(RuntimeError, match="worker process died"):
-            _run(parallel=2, memoize=True, batch=True)
-        assert created
-        self._assert_all_unlinked(created)
+    @pytest.mark.parametrize(
+        "memoize, batch", [(False, True), (True, False), (False, False)]
+    )
+    def test_knob_off_counts_per_tile(self, memoize, batch):
+        REGISTRY.set_enabled(True)
+        _run(memoize=memoize, batch=batch)
+        assert _dispatch_counts() == {"batched": 0, "refused": 0, "per_tile": 1}
 
 
 # -- acceptance gate -----------------------------------------------------------
@@ -342,8 +317,7 @@ class TestAcceptanceBatchedSpeedup:
         """Acceptance gate: memoization+batching >= 5x over the unaccelerated
         sequential path on the system bench shape, bit-identical outputs.
 
-        Mirrors the parallel 3x gate in ``test_system.py``: the baseline is
-        sized to take ~1s so the accelerated side has margin on a loaded
+        The baseline is sized to take ~1s so the accelerated side has margin on a loaded
         CI machine, and the accelerated run is best-of-three — noise can
         only slow the accelerated side, so retrying it is conservative.
         """

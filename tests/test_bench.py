@@ -44,16 +44,14 @@ class TestRunner:
             "system-sequential",
             "system-memoized",
             "system-batched",
-            "system-memoized-parallel",
         ]
         by_name = {s["name"]: s for s in system["scenarios"]}
-        # All four variants simulate the same machine: identical cycles.
+        # All three variants simulate the same machine: identical cycles.
         cycles = {s["simulated_cycles"] for s in system["scenarios"]}
         assert len(cycles) == 1
         assert by_name["system-memoized"]["cache_hit_rate"] > 0.9
         assert by_name["system-batched"]["cache_hit_rate"] > 0.9
         assert by_name["system-batched"]["speedup_vs_memoized"] > 0
-        assert by_name["system-memoized-parallel"]["workers"] >= 1
 
     def test_cluster_suite_scenarios(self, quick_documents):
         cluster = quick_documents[1]
@@ -212,9 +210,9 @@ class TestCompare:
         """A hand-edited baseline gating a directionless metric must produce
         a clean problem line, not an unhandled exception."""
         baseline = derive_baseline(quick_documents)
-        baseline["gates"]["system-memoized-parallel"]["workers"] = 2
+        baseline["gates"]["system-batched"]["points"] = 2
         checks, problems = compare_documents(baseline, quick_documents)
-        assert any("unknown metric 'workers'" in p for p in problems)
+        assert any("unknown metric 'points'" in p for p in problems)
         assert checks  # the well-formed gates were still evaluated
 
 

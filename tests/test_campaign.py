@@ -327,8 +327,11 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize(
         "options",
-        [ExecutionOptions(memoize=False, parallel=2), ExecutionOptions(workers=2)],
-        ids=["no-memoize-parallel", "workers"],
+        [
+            ExecutionOptions(memoize=False, batch=False),
+            ExecutionOptions(workers=2),
+        ],
+        ids=["no-memoize-no-batch", "workers"],
     )
     def test_execution_options_never_fragment_the_store(self, tmp_path, options):
         """Execution knobs stay out of point ids: a rerun resumes it all."""
@@ -341,18 +344,16 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_execution_options_reach_every_point(self, tmp_path, workers):
-        """memoize/parallel travel in the options block, to pool workers too."""
+        """memoize/batch travel in the options block, to pool workers too."""
         outcome = run_campaign(
             tiny_sweep(),
             store_path=tmp_path / "s.jsonl",
-            options=ExecutionOptions(memoize=False, parallel=2, workers=workers),
+            options=ExecutionOptions(memoize=False, batch=False, workers=workers),
         )
         assert outcome.executed_points == 4
         for record in outcome.records:
             metrics = record["metrics"]
             assert metrics["cache_hits"] == metrics["cache_misses"] == 0
-            busy = min(record["spec"]["clusters_per_vault"], metrics["tiles"])
-            assert metrics["workers"] == min(2, busy)
 
     def test_engine_override_is_point_identity(self, tmp_path):
         store = tmp_path / "s.jsonl"

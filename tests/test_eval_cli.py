@@ -67,6 +67,20 @@ def test_bare_parser_has_no_execution_flags(flags, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenario", "run", "conv-tiled"],
+        ["campaign", "run", "conv-geometry-sweep"],
+        ["submit", "scenario", "conv-tiled"],
+    ],
+)
+def test_subcommands_have_no_parallel_flag(argv, capsys):
+    with pytest.raises(SystemExit):
+        main([*argv, "--parallel", "2"])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_scenario_list(capsys):
     from repro.scenarios import registered_scenarios
 

@@ -266,20 +266,6 @@ class TestInstrumentedRuns:
         assert {"scenario", "build-workload", "verify", "schedule"} <= names
         _assert_tracks_nest(spans)
 
-    def test_parallel_run_ships_worker_tracks_home(self):
-        spec = tiny_spec(
-            name="tiny-obs-parallel",
-            num_tiles=4,
-            num_vaults=2,
-            clusters_per_vault=2,
-        )
-        with obs.trace_session(trace=True) as tracer:
-            run_scenario(spec, options=ExecutionOptions(parallel=2, batch=False))
-            spans = tracer.spans()
-        worker_tracks = {s.track for s in spans if s.track.startswith("worker-")}
-        assert worker_tracks, {s.track for s in spans}
-        assert any(s.name == "worker-task" for s in spans)
-
     def test_simulator_is_built_inside_the_scenario_span(self, monkeypatch):
         """The HMC allocation in SystemSimulator.__init__ is scenario time."""
         built_at = []

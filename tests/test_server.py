@@ -64,7 +64,6 @@ class TestExecutionOptions:
     def test_defaults(self):
         options = ExecutionOptions()
         assert options.engine is None
-        assert options.parallel == 0
         assert options.memoize is True
         assert options.batch is True
         assert options.workers == 0
@@ -72,35 +71,35 @@ class TestExecutionOptions:
 
     def test_dict_round_trip(self):
         options = ExecutionOptions(
-            engine="scalar", parallel=2, memoize=False, batch=False,
-            workers=3, quick=True,
+            engine="scalar", memoize=False, batch=False, workers=3, quick=True,
         )
         assert ExecutionOptions.from_dict(options.to_dict()) == options
 
     def test_json_round_trip(self):
-        options = ExecutionOptions(parallel=1, quick=True)
+        options = ExecutionOptions(workers=1, quick=True)
         assert ExecutionOptions.from_json(options.to_json()) == options
 
     def test_from_dict_missing_fields_default(self):
         assert ExecutionOptions.from_dict({}) == ExecutionOptions()
         assert ExecutionOptions.from_dict({"quick": True}).quick is True
 
-    def test_from_dict_unknown_field_lists_accepted(self):
-        with pytest.raises(ValueError, match="turbo.*accepted"):
-            ExecutionOptions.from_dict({"turbo": True})
+    @pytest.mark.parametrize(
+        "data, name", [({"turbo": True}, "turbo"), ({"parallel": 2}, "parallel")]
+    )
+    def test_from_dict_unknown_field_lists_accepted(self, data, name):
+        with pytest.raises(ValueError, match=rf"'{name}'.*accepted: .*'workers'"):
+            ExecutionOptions.from_dict(data)
 
     def test_unknown_engine_lists_choices(self):
         with pytest.raises(ValueError, match="warp"):
             ExecutionOptions(engine="warp")
 
     @pytest.mark.parametrize("value", [True, False, None, 1.5])
-    def test_parallel_must_be_an_integer(self, value):
-        with pytest.raises(ValueError, match="parallel worker count must be an integer"):
-            ExecutionOptions(parallel=value)
+    def test_workers_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="worker count must be an integer"):
+            ExecutionOptions(workers=value)
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ExecutionOptions(parallel=-2)
         with pytest.raises(ValueError, match="non-negative"):
             ExecutionOptions(workers=-1)
 
@@ -112,21 +111,21 @@ class TestExecutionOptions:
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            ExecutionOptions().parallel = 4
+            ExecutionOptions().workers = 4
 
     def test_resolve_writes_only_the_engine(self):
         spec = tiny_spec()
         assert ExecutionOptions().resolve(spec) is spec
         execution_only = ExecutionOptions(
-            parallel=2, memoize=False, batch=False, workers=4, quick=True,
+            memoize=False, batch=False, workers=4, quick=True,
         )
         assert execution_only.resolve(spec) is spec
-        resolved = ExecutionOptions(engine="scalar", parallel=2).resolve(spec)
+        resolved = ExecutionOptions(engine="scalar", workers=2).resolve(spec)
         assert resolved == spec.with_overrides(engine="scalar")
 
     def test_with_overrides_validates(self):
-        options = ExecutionOptions().with_overrides(parallel=2)
-        assert options.parallel == 2
+        options = ExecutionOptions().with_overrides(workers=2)
+        assert options.workers == 2
         with pytest.raises(ValueError):
             options.with_overrides(workers=-1)
 
@@ -177,16 +176,16 @@ class TestSubmissionParsing:
         assert plain == batched
 
     @pytest.mark.parametrize("kind", ["scenario", "campaign"])
-    def test_memoize_and_parallel_share_one_job_id(self, kind):
-        """memoize/parallel are execution-only: same job, one result."""
+    def test_memoize_and_batch_share_one_job_id(self, kind):
+        """memoize/batch are execution-only: same job, one result."""
         body = (
             {"spec": tiny_spec().to_dict()} if kind == "scenario"
             else {"sweep": tiny_sweep().to_dict()}
         )
         base = {"kind": kind, **body}
         plain = parse_submission(base).job_id
-        for options in ({"memoize": False}, {"parallel": 2},
-                        {"memoize": False, "parallel": 2}):
+        for options in ({"memoize": False}, {"batch": False},
+                        {"memoize": False, "batch": False}):
             assert parse_submission({**base, "options": options}).job_id == plain
 
     def test_engine_override_changes_identity(self):
@@ -362,6 +361,15 @@ class TestServerEndToEnd:
                  "options": {"turbo": 9}}
             )
         assert bad_option.value.status == 400
+        with pytest.raises(ServerError) as removed_option:
+            client.submit(
+                {"kind": "scenario", "spec": tiny_spec().to_dict(),
+                 "options": {"parallel": 2}}
+            )
+        assert removed_option.value.status == 400
+        message = str(removed_option.value)
+        assert "'parallel'" in message
+        assert "accepted:" in message and "'workers'" in message
         with pytest.raises(ServerError) as no_route:
             client._request("GET", "/nope")
         assert no_route.value.status == 404
