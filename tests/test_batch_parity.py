@@ -31,6 +31,7 @@ import pytest
 
 from repro.obs.metrics import REGISTRY
 from repro.options import ExecutionOptions
+from repro.scenarios import registered_scenarios, run_scenario
 from repro.scenarios.workloads import _lattice
 from repro.system import (
     ClusterAssignment,
@@ -307,6 +308,17 @@ class TestDispatchCounter:
         REGISTRY.set_enabled(True)
         _run(memoize=memoize, batch=batch)
         assert _dispatch_counts() == {"batched": 0, "refused": 0, "per_tile": 1}
+
+    @pytest.mark.parametrize("name", registered_scenarios())
+    def test_registered_scenarios_are_batched(self, name):
+        """Under default options the gate admits every registered family.
+
+        A refusal keeps every output exact and only costs speed, so nothing
+        else would notice a gate change that sends a family per-tile.
+        """
+        REGISTRY.set_enabled(True)
+        assert run_scenario(name).verified
+        assert _dispatch_counts() == {"batched": 1, "refused": 0, "per_tile": 0}
 
 
 # -- acceptance gate -----------------------------------------------------------
