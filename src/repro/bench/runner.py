@@ -9,7 +9,7 @@ Three suites cover the repository's hot paths:
 * ``system`` — the scale-out path: a tiled convolution workload on the
   default :class:`~repro.system.SystemConfig`, run sequentially without the
   timing cache (the PR-1 baseline), then with memoization, then with
-  memoization + the multiprocessing dispatcher.  Every variant verifies the
+  memoization + cross-tile batched replay.  Every variant verifies the
   HMC outputs against the NumPy reference, so a benchmark run is also a
   correctness run.
 * ``scenarios`` — every scenario registered in :mod:`repro.scenarios`
@@ -62,8 +62,8 @@ from repro.campaign import iter_campaigns, run_campaign
 from repro.cluster.engine import DEFAULT_ENGINE, available_engines
 from repro.cluster.sim import ClusterSimulator
 from repro.options import ExecutionOptions
-from repro.scenarios import iter_scenarios, run_scenario
-from repro.system import SystemConfig, SystemSimulator, conv_tiled_workload
+from repro.scenarios import ScenarioSpec, build_workload, iter_scenarios, run_scenario
+from repro.system import SystemConfig, SystemSimulator
 
 __all__ = [
     "SUITES",
@@ -106,6 +106,14 @@ def _scenario(
     return scenario
 
 
+def _conv_workload(simulator: SystemSimulator, shape, tiles: int):
+    """``tiles`` independent convolution tiles staged in ``simulator``'s HMC."""
+    spec = ScenarioSpec(
+        name="bench-conv", family="conv", params={"image_shape": shape}, num_tiles=tiles
+    )
+    return build_workload(spec, simulator.hmc, simulator.config.cluster)
+
+
 def _run_system_variant(
     quick: bool, memoize: bool, batch: bool = False
 ) -> Tuple[float, "object"]:
@@ -114,9 +122,7 @@ def _run_system_variant(
     simulator = SystemSimulator(
         SystemConfig(), options=ExecutionOptions(memoize=memoize, batch=batch)
     )
-    workload = conv_tiled_workload(
-        simulator.hmc, num_tiles=tiles, image_shape=shape
-    )
+    workload = _conv_workload(simulator, shape, tiles)
     start = time.perf_counter()
     result = simulator.run(workload.tiles)
     wall = time.perf_counter() - start
@@ -166,7 +172,7 @@ def _run_cluster_variant(quick: bool, engine: str) -> Tuple[float, "object"]:
     shape = _CLUSTER_SIZES[quick]
     system = SystemConfig(num_vaults=1, clusters_per_vault=1, engine=engine)
     simulator = SystemSimulator(system, options=ExecutionOptions(memoize=False))
-    workload = conv_tiled_workload(simulator.hmc, num_tiles=1, image_shape=shape)
+    workload = _conv_workload(simulator, shape, 1)
     cluster = simulator.clusters[0]
     for transfer in workload.tiles[0].transfers_in:
         cluster.run_dma(transfer)

@@ -12,6 +12,7 @@ later polls a status register that eventually reads idle.
 from __future__ import annotations
 
 import struct
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.addressmap import AddressMap
@@ -41,7 +42,10 @@ class ClusterBus:
     """Functional interconnect between the control core and the cluster devices."""
 
     def __init__(self, cluster: "Cluster") -> None:
-        self.cluster = cluster
+        # A weak reference: the cluster owns its bus, and a strong back
+        # reference would make every cluster (and the HMC it shares) cyclic
+        # garbage that outlives its last user until the next full GC.
+        self.cluster = weakref.proxy(cluster)
         self.amap: AddressMap = cluster.amap
         self._dma_regs = {
             DmaRegisterMap.SRC: 0,

@@ -7,7 +7,7 @@ owns three small, stdlib-only facilities:
   gauges and histograms with labels, rendered in the Prometheus text
   exposition format (the server's ``/metrics`` endpoint).  The
   tile-timing cache, the global result cache, the campaign runner, the
-  shared-memory pools and the simulation phases all account here.
+  system dispatch and the simulation phases all account here.
 * :mod:`repro.obs.trace` — context-manager span tracing with per-track
   (per-worker, per-cluster) timelines, JSONL emission and Chrome
   ``chrome://tracing`` / Perfetto export (``--trace-out FILE`` or

@@ -2,7 +2,7 @@
 
 The registry is the single accounting spine for the reproduction: the
 tile-timing cache, the global result cache, the campaign runner, the
-shared-memory pools and the simulation server all publish into it
+system dispatch and the simulation server all publish into it
 instead of keeping bespoke counter objects.  Instrumentation is **off
 by default** — every mutator checks a single ``enabled`` flag first, so
 a disabled registry costs one attribute load and one branch per call

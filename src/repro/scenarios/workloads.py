@@ -6,11 +6,19 @@ shared HMC — the same schedule format the system simulator executes — plus
 the NumPy golden reference of every output region, so a run can always be
 verified end to end (:meth:`ScenarioWorkload.verify`).
 
-Four families ship, all built on the existing kernel library:
+A family states its tile once: a :class:`_Template` (the TCDM layout, the
+command stream and its placements, the constants staged once in the HMC)
+plus a ``draw(rng) -> (inputs, goldens)`` closure producing one tile's
+data.  :func:`build_workload` stages every tile against that template, so
+all tiles of a build share the template's (frozen) command objects and
+differ only in their HMC addresses and data — the configure-once command
+stream of §II-E with double-buffered DMA streaming each tile through the
+TCDM.
+
+Five hand-written families ship, all built on the existing kernel library:
 
 * ``conv`` — independent 2D-convolution tiles, output rows banded across
-  the co-processors (the port of
-  :func:`repro.system.workloads.conv_tiled_workload`).
+  the co-processors.
 * ``matmul`` — tiled GEMM (:mod:`repro.kernels.blas`), output rows split
   across the co-processors.
 * ``stencil`` — the 2D discrete Laplace operator
@@ -46,13 +54,14 @@ family then stays exactly representable in float64, so the scalar
 engine's partial-carry-save accumulator, the vectorized engine's float64
 data plane and the NumPy golden model all round the *same exact value* to
 binary32 — making scalar-vs-vectorized HMC contents bit-identical, not
-merely close (``tests/test_system.py`` asserts this per family).
+merely close, which is why :meth:`ScenarioWorkload.verify` compares bit
+for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,22 +85,13 @@ from repro.kernels.stencil import LAPLACE_TAPS, laplace_2d_reference, laplace_co
 from repro.scenarios.compiler import PipelineSpec, StencilSpec
 from repro.mem.dma import DmaTransfer
 from repro.mem.hmc import Hmc
-from repro.mem.tcdm import TcdmConfig
 from repro.scenarios.spec import ScenarioSpec
-from repro.system.workloads import conv_tiled_workload
 
 __all__ = [
     "FAMILIES",
     "ScenarioWorkload",
     "WorkloadFamily",
     "build_workload",
-    "compiled_stencil_workload",
-    "conv_workload",
-    "dnn_step_workload",
-    "matmul_workload",
-    "opstream_workload",
-    "pipeline_workload",
-    "stencil_workload",
 ]
 
 _WORD = 4
@@ -106,15 +106,39 @@ class ScenarioWorkload:
     #: ``(hmc_addr, expected float32 array)`` per verified output region.
     references: List[Tuple[int, np.ndarray]] = field(default_factory=list)
 
-    def verify(self, hmc: Hmc, rtol: float = 1e-6, atol: float = 1e-7) -> None:
-        """Assert every output region in the HMC matches its golden model."""
+    def verify(self, hmc: Hmc) -> None:
+        """Assert every output region in the HMC equals its golden model
+        bit for bit (raises ``AssertionError`` on the first mismatch)."""
         for address, expected in self.references:
             produced = hmc.memory.load_array(address, expected.shape)
-            np.testing.assert_allclose(produced, expected, rtol=rtol, atol=atol)
+            np.testing.assert_array_equal(produced, expected)
 
-    @property
-    def total_flops(self) -> int:
-        return sum(tile.flops for tile in self.tiles)
+
+@dataclass(frozen=True)
+class _Template:
+    """What every tile of one build shares.
+
+    Per-tile data comes from the family's ``draw`` closure; its inputs are
+    staged in the HMC in draw order and its goldens size the outputs.
+    """
+
+    commands: List[NtxCommand]
+    #: TCDM address each drawn input is transferred to, in draw order;
+    #: ``None`` stages the input in the HMC without transferring it.
+    inputs: Sequence[Optional[int]]
+    #: ``(TCDM address, input index)`` per golden: the output returns over
+    #: that input's HMC region, or (``None``) to a freshly allocated one.
+    outputs: Sequence[Tuple[int, Optional[int]]]
+    #: ``(TCDM address, value)`` staged once ahead of every tile and
+    #: transferred after each tile's inputs.
+    constants: Sequence[Tuple[int, np.ndarray]] = ()
+    #: NTX id per command (``None``: round-robin, see :class:`TileSchedule`).
+    placements: Optional[List[int]] = None
+
+
+#: ``draw(rng) -> (inputs, goldens)``: one tile's staged float32 inputs and
+#: the expected float32 contents of its output regions.
+_Draw = Callable[[np.random.Generator], Tuple[List[np.ndarray], List[np.ndarray]]]
 
 
 @dataclass(frozen=True)
@@ -124,7 +148,8 @@ class WorkloadFamily:
     name: str
     description: str
     default_params: Dict[str, Any]
-    builder: Callable[[ScenarioSpec, Hmc, ClusterConfig], ScenarioWorkload]
+    #: ``builder(merged params, cluster) -> (template, draw)``.
+    builder: Callable[[Dict[str, Any], ClusterConfig], Tuple[_Template, _Draw]]
     #: Optional merged-params validator run at ``ScenarioSpec`` construction
     #: (the compiled families use it so a bad declarative spec raises the
     #: documented ``ValueError`` before any simulation starts).
@@ -166,6 +191,10 @@ class _Cursor:
         return address
 
 
+def _tcdm_layout(cluster: ClusterConfig) -> _Cursor:
+    return _Cursor(cluster.tcdm.base_address, cluster.tcdm.size_bytes, "TCDM")
+
+
 def _stage(hmc: Hmc, cursor: _Cursor, array: np.ndarray) -> int:
     """Allocate HMC space for ``array``, store it, return the address."""
     address = cursor.alloc(array.nbytes)
@@ -177,34 +206,55 @@ def _transfer(src: int, dst: int, nbytes: int) -> DmaTransfer:
     return DmaTransfer(src=src, dst=dst, row_bytes=nbytes)
 
 
+def _stream(address: int, stride: int = _WORD) -> AguConfig:
+    """A unit-stride (or stationary, ``stride=0``) single-loop stream."""
+    return AguConfig(base=address, strides=(stride, 0, 0, 0, 0))
+
+
 # --------------------------------------------------------------------------- #
 # conv — independent banded convolution tiles                                  #
 # --------------------------------------------------------------------------- #
 
 
-def conv_workload(
-    spec: ScenarioSpec, hmc: Hmc, cluster: ClusterConfig
-) -> ScenarioWorkload:
+def _conv(params: Dict[str, Any], cluster: ClusterConfig) -> Tuple[_Template, _Draw]:
     """Independent 2D convolutions, one tile each, output rows banded.
 
-    The port of :func:`repro.system.workloads.conv_tiled_workload` — the
-    banding/staging logic is shared with it; only the data generator
-    differs (lattice values for cross-engine bit-identity).
+    Every tile stages one image and one kernel into the TCDM and splits the
+    output rows into up to ``num_ntx`` bands (one NTX command each, with the
+    ``kernel - 1`` halo rows re-read from the shared input).
     """
-    params = spec.merged_params()
-    legacy = conv_tiled_workload(
-        hmc,
-        spec.num_tiles,
-        image_shape=params["image_shape"],
-        kernel=params["kernel"],
-        num_ntx=cluster.num_ntx,
-        tcdm=cluster.tcdm,
-        seed=spec.seed,
-        draw=_lattice,
+    height, width = params["image_shape"]
+    kernel = params["kernel"]
+    out_h, out_w = height - kernel + 1, width - kernel + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError("kernel larger than image")
+
+    layout = _tcdm_layout(cluster)
+    tcdm_image = layout.alloc(height * width * _WORD)
+    tcdm_weights = layout.alloc(kernel * kernel * _WORD)
+    tcdm_out = layout.alloc(out_h * out_w * _WORD)
+    rows_per_band = -(-out_h // min(cluster.num_ntx, out_h))
+    commands = [
+        conv2d_commands(
+            min(rows_per_band, out_h - row_start) + kernel - 1,
+            width,
+            kernel,
+            tcdm_image + row_start * width * _WORD,
+            tcdm_weights,
+            tcdm_out + row_start * out_w * _WORD,
+        )[0]
+        for row_start in range(0, out_h, rows_per_band)
+    ]
+
+    def draw(rng):
+        image = _lattice(rng, (height, width))
+        weights = _lattice(rng, (kernel, kernel))
+        return [image, weights], [conv2d_reference(image, weights)]
+
+    template = _Template(
+        commands, inputs=(tcdm_image, tcdm_weights), outputs=((tcdm_out, None),)
     )
-    return ScenarioWorkload(
-        family="conv", tiles=legacy.tiles, references=legacy.references
-    )
+    return template, draw
 
 
 # --------------------------------------------------------------------------- #
@@ -212,48 +262,25 @@ def conv_workload(
 # --------------------------------------------------------------------------- #
 
 
-def matmul_workload(
-    spec: ScenarioSpec, hmc: Hmc, cluster: ClusterConfig
-) -> ScenarioWorkload:
+def _matmul(params: Dict[str, Any], cluster: ClusterConfig) -> Tuple[_Template, _Draw]:
     """Independent ``m x k @ k x n`` tiles, output rows split across NTX."""
-    params = spec.merged_params()
     m, k, n = params["m"], params["k"], params["n"]
     if min(m, k, n) <= 0:
         raise ValueError("matrix dimensions must be positive")
-    tcdm: TcdmConfig = cluster.tcdm
 
-    a_bytes, b_bytes, c_bytes = m * k * _WORD, k * n * _WORD, m * n * _WORD
-    layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
-    tcdm_a = layout.alloc(a_bytes)
-    tcdm_b = layout.alloc(b_bytes)
-    tcdm_c = layout.alloc(c_bytes)
+    layout = _tcdm_layout(cluster)
+    tcdm_a = layout.alloc(m * k * _WORD)
+    tcdm_b = layout.alloc(k * n * _WORD)
+    tcdm_c = layout.alloc(m * n * _WORD)
+    commands = gemm_commands(m, k, n, tcdm_a, tcdm_b, tcdm_c, split_rows=cluster.num_ntx)
 
-    rng = np.random.default_rng(spec.seed)
-    cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
-    workload = ScenarioWorkload(family="matmul", tiles=[])
-    for _ in range(spec.num_tiles):
+    def draw(rng):
         a = _lattice(rng, (m, k))
         b = _lattice(rng, (k, n))
-        hmc_a = _stage(hmc, cursor, a)
-        hmc_b = _stage(hmc, cursor, b)
-        hmc_c = cursor.alloc(c_bytes)
+        c = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+        return [a, b], [c]
 
-        commands = gemm_commands(
-            m, k, n, tcdm_a, tcdm_b, tcdm_c, split_rows=cluster.num_ntx
-        )
-        workload.tiles.append(
-            TileSchedule(
-                transfers_in=[
-                    _transfer(hmc_a, tcdm_a, a_bytes),
-                    _transfer(hmc_b, tcdm_b, b_bytes),
-                ],
-                commands=commands,
-                transfers_out=[_transfer(tcdm_c, hmc_c, c_bytes)],
-            )
-        )
-        expected = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
-        workload.references.append((hmc_c, expected))
-    return workload
+    return _Template(commands, inputs=(tcdm_a, tcdm_b), outputs=((tcdm_c, None),)), draw
 
 
 # --------------------------------------------------------------------------- #
@@ -261,9 +288,7 @@ def matmul_workload(
 # --------------------------------------------------------------------------- #
 
 
-def stencil_workload(
-    spec: ScenarioSpec, hmc: Hmc, cluster: ClusterConfig
-) -> ScenarioWorkload:
+def _stencil(params: Dict[str, Any], cluster: ClusterConfig) -> Tuple[_Template, _Draw]:
     """Independent Laplace tiles; each tile's two passes run on one NTX.
 
     The horizontal pass initialises the output, the vertical pass
@@ -272,45 +297,29 @@ def stencil_workload(
     cycle engines execute it in program order.  Parallelism comes from
     scheduling many tiles across clusters.
     """
-    params = spec.merged_params()
     height, width = params["field_shape"]
     out_h, out_w = height - 2, width - 2
     if out_h <= 0 or out_w <= 0:
         raise ValueError("field too small for the 3-point stencil")
-    tcdm: TcdmConfig = cluster.tcdm
 
-    field_bytes = height * width * _WORD
-    out_bytes = out_h * out_w * _WORD
-    layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
-    tcdm_field = layout.alloc(field_bytes)
+    layout = _tcdm_layout(cluster)
+    tcdm_field = layout.alloc(height * width * _WORD)
     tcdm_taps = layout.alloc(LAPLACE_TAPS.nbytes)
-    tcdm_out = layout.alloc(out_bytes)
+    tcdm_out = layout.alloc(out_h * out_w * _WORD)
+    commands = laplace_commands(2, (height, width), tcdm_field, tcdm_taps, tcdm_out)
 
-    rng = np.random.default_rng(spec.seed)
-    cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
-    hmc_taps = _stage(hmc, cursor, LAPLACE_TAPS)
-    workload = ScenarioWorkload(family="stencil", tiles=[])
-    for _ in range(spec.num_tiles):
+    def draw(rng):
         field_data = _lattice(rng, (height, width))
-        hmc_field = _stage(hmc, cursor, field_data)
-        hmc_out = cursor.alloc(out_bytes)
+        return [field_data], [laplace_2d_reference(field_data)]
 
-        commands = laplace_commands(
-            2, (height, width), tcdm_field, tcdm_taps, tcdm_out
-        )
-        workload.tiles.append(
-            TileSchedule(
-                transfers_in=[
-                    _transfer(hmc_field, tcdm_field, field_bytes),
-                    _transfer(hmc_taps, tcdm_taps, LAPLACE_TAPS.nbytes),
-                ],
-                commands=commands,
-                transfers_out=[_transfer(tcdm_out, hmc_out, out_bytes)],
-                placements=[0] * len(commands),
-            )
-        )
-        workload.references.append((hmc_out, laplace_2d_reference(field_data)))
-    return workload
+    template = _Template(
+        commands,
+        inputs=(tcdm_field,),
+        outputs=((tcdm_out, None),),
+        constants=((tcdm_taps, LAPLACE_TAPS),),
+        placements=[0] * len(commands),
+    )
+    return template, draw
 
 
 # --------------------------------------------------------------------------- #
@@ -318,9 +327,7 @@ def stencil_workload(
 # --------------------------------------------------------------------------- #
 
 
-def dnn_step_workload(
-    spec: ScenarioSpec, hmc: Hmc, cluster: ClusterConfig
-) -> ScenarioWorkload:
+def _dnn_step(params: Dict[str, Any], cluster: ClusterConfig) -> Tuple[_Template, _Draw]:
     """One SGD step of a small conv layer, per-output-channel chains.
 
     Per tile (one sample) and output channel ``co`` the chain is:
@@ -336,9 +343,9 @@ def dnn_step_workload(
     Chains for different output channels are independent, so chain ``co``
     is placed on co-processor ``co % num_ntx``; within a chain the
     commands are dependent and execute in order on their NTX.  Verified
-    outputs are the updated weights and the loss gradients.
+    outputs are the updated weights (written back over the staged
+    weights) and the loss gradients.
     """
-    params = spec.merged_params()
     in_channels = params["in_channels"]
     out_channels = params["out_channels"]
     size = params["image_size"]
@@ -347,18 +354,15 @@ def dnn_step_workload(
     out_size = size - kernel + 1
     if out_size <= 0:
         raise ValueError("kernel larger than image")
-    num_ntx = cluster.num_ntx
-    tcdm: TcdmConfig = cluster.tcdm
 
     plane = size * size * _WORD
     filt = kernel * kernel * _WORD
     grad_plane = out_size * out_size * _WORD
-    image_bytes = in_channels * plane
     weights_bytes = out_channels * in_channels * filt
     target_bytes = out_channels * grad_plane
 
-    layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
-    tcdm_image = layout.alloc(image_bytes)
+    layout = _tcdm_layout(cluster)
+    tcdm_image = layout.alloc(in_channels * plane)
     tcdm_weights = layout.alloc(weights_bytes)
     tcdm_target = layout.alloc(target_bytes)
     tcdm_neg_lr = layout.alloc(_WORD)
@@ -366,93 +370,51 @@ def dnn_step_workload(
     tcdm_grad = layout.alloc(target_bytes)
     tcdm_dw = layout.alloc(weights_bytes)
 
-    neg_lr = np.array([-lr], dtype=np.float32)
-    rng = np.random.default_rng(spec.seed)
-    cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
-    hmc_neg_lr = _stage(hmc, cursor, neg_lr)
-    workload = ScenarioWorkload(family="dnn", tiles=[])
-    for _ in range(spec.num_tiles):
+    commands: List[NtxCommand] = []
+    placements: List[int] = []
+    for co in range(out_channels):
+        chain: List[NtxCommand] = []
+        out_co = tcdm_out + co * grad_plane
+        grad_co = tcdm_grad + co * grad_plane
+        weights_co = tcdm_weights + co * in_channels * filt
+        dw_co = tcdm_dw + co * in_channels * filt
+        # 1) forward: accumulate the input channels into out[co].
+        chain.extend(
+            conv2d_multichannel_commands(
+                in_channels, size, size, kernel, tcdm_image, weights_co, out_co
+            )
+        )
+        # 2) loss gradient: grad[co] = out[co] - target[co].
+        chain.append(
+            NtxCommand(
+                opcode=NtxOpcode.SUB,
+                loops=LoopConfig.nest(out_size * out_size),
+                agu0=_stream(out_co),
+                agu1=_stream(tcdm_target + co * grad_plane),
+                agu2=_stream(grad_co),
+                init_level=0,
+                store_level=0,
+            )
+        )
+        # 3) weight gradient: correlate each input channel with grad[co]
+        # (a conv2d whose "kernel" is the out_size x out_size gradient).
+        for ci in range(in_channels):
+            chain.append(
+                conv2d_commands(
+                    size, size, out_size, tcdm_image + ci * plane, grad_co, dw_co + ci * filt
+                )[0]
+            )
+        # 4) SGD update over the channel's whole weight block.
+        chain.append(
+            axpy_commands(in_channels * kernel * kernel, tcdm_neg_lr, dw_co, weights_co)[0]
+        )
+        commands.extend(chain)
+        placements.extend([co % cluster.num_ntx] * len(chain))
+
+    def draw(rng):
         image = _lattice(rng, (in_channels, size, size))
         weights = _lattice(rng, (out_channels, in_channels, kernel, kernel))
         target = _lattice(rng, (out_channels, out_size, out_size))
-        hmc_image = _stage(hmc, cursor, image)
-        hmc_weights = _stage(hmc, cursor, weights)
-        hmc_target = _stage(hmc, cursor, target)
-        hmc_grad = cursor.alloc(target_bytes)
-
-        commands: List[NtxCommand] = []
-        placements: List[int] = []
-        for co in range(out_channels):
-            chain: List[NtxCommand] = []
-            out_co = tcdm_out + co * grad_plane
-            grad_co = tcdm_grad + co * grad_plane
-            target_co = tcdm_target + co * grad_plane
-            # 1) forward: accumulate the input channels into out[co].
-            chain.extend(
-                conv2d_multichannel_commands(
-                    in_channels,
-                    size,
-                    size,
-                    kernel,
-                    tcdm_image,
-                    tcdm_weights + co * in_channels * filt,
-                    out_co,
-                )
-            )
-            # 2) loss gradient: grad[co] = out[co] - target[co].
-            chain.append(
-                NtxCommand(
-                    opcode=NtxOpcode.SUB,
-                    loops=LoopConfig.nest(out_size * out_size),
-                    agu0=AguConfig(base=out_co, strides=(_WORD, 0, 0, 0, 0)),
-                    agu1=AguConfig(base=target_co, strides=(_WORD, 0, 0, 0, 0)),
-                    agu2=AguConfig(base=grad_co, strides=(_WORD, 0, 0, 0, 0)),
-                    init_level=0,
-                    store_level=0,
-                )
-            )
-            # 3) weight gradient: correlate each input channel with grad[co]
-            # (a conv2d whose "kernel" is the out_size x out_size gradient).
-            for ci in range(in_channels):
-                chain.append(
-                    conv2d_commands(
-                        size,
-                        size,
-                        out_size,
-                        tcdm_image + ci * plane,
-                        grad_co,
-                        tcdm_dw + (co * in_channels + ci) * filt,
-                    )[0]
-                )
-            # 4) SGD update over the channel's whole weight block.
-            chain.append(
-                axpy_commands(
-                    in_channels * kernel * kernel,
-                    tcdm_neg_lr,
-                    tcdm_dw + co * in_channels * filt,
-                    tcdm_weights + co * in_channels * filt,
-                )[0]
-            )
-            commands.extend(chain)
-            placements.extend([co % num_ntx] * len(chain))
-
-        workload.tiles.append(
-            TileSchedule(
-                transfers_in=[
-                    _transfer(hmc_image, tcdm_image, image_bytes),
-                    _transfer(hmc_weights, tcdm_weights, weights_bytes),
-                    _transfer(hmc_target, tcdm_target, target_bytes),
-                    _transfer(hmc_neg_lr, tcdm_neg_lr, _WORD),
-                ],
-                commands=commands,
-                transfers_out=[
-                    _transfer(tcdm_weights, hmc_weights, weights_bytes),
-                    _transfer(tcdm_grad, hmc_grad, target_bytes),
-                ],
-                placements=placements,
-            )
-        )
-
         # Golden model, rounding to binary32 exactly where the engines do.
         grad_ref = np.empty((out_channels, out_size, out_size), dtype=np.float32)
         w_new = np.empty_like(weights)
@@ -460,8 +422,7 @@ def dnn_step_workload(
             out_co = conv2d_reference(image[0], weights[co, 0])
             for ci in range(1, in_channels):
                 out_co = (
-                    out_co.astype(np.float64)
-                    + conv2d_f64(image[ci], weights[co, ci])
+                    out_co.astype(np.float64) + conv2d_f64(image[ci], weights[co, ci])
                 ).astype(np.float32)
             grad_ref[co] = (
                 out_co.astype(np.float64) - target[co].astype(np.float64)
@@ -469,12 +430,18 @@ def dnn_step_workload(
             for ci in range(in_channels):
                 dw = conv2d_reference(image[ci], grad_ref[co])
                 w_new[co, ci] = (
-                    weights[co, ci].astype(np.float64)
-                    - np.float64(lr) * dw.astype(np.float64)
+                    weights[co, ci].astype(np.float64) - np.float64(lr) * dw.astype(np.float64)
                 ).astype(np.float32)
-        workload.references.append((hmc_weights, w_new))
-        workload.references.append((hmc_grad, grad_ref))
-    return workload
+        return [image, weights, target], [w_new, grad_ref]
+
+    template = _Template(
+        commands,
+        inputs=(tcdm_image, tcdm_weights, tcdm_target),
+        outputs=((tcdm_weights, 1), (tcdm_grad, None)),
+        constants=((tcdm_neg_lr, np.array([-lr], dtype=np.float32)),),
+        placements=placements,
+    )
+    return template, draw
 
 
 # --------------------------------------------------------------------------- #
@@ -524,9 +491,7 @@ def _opstream_reference(
     raise ValueError(f"unsupported opcode {opcode}")  # pragma: no cover
 
 
-def opstream_workload(
-    spec: ScenarioSpec, hmc: Hmc, cluster: ClusterConfig
-) -> ScenarioWorkload:
+def _opstream(params: Dict[str, Any], cluster: ClusterConfig) -> Tuple[_Template, _Draw]:
     """One streaming command per tile, pinned to co-processor 0.
 
     The single-co-processor placement reproduces the conflict-free
@@ -534,9 +499,9 @@ def opstream_workload(
     streaming, no TCDM banking conflicts are possible and every opcode
     sustains one element per cycle.  Reductions write one word, element-wise
     opcodes write the full output stream; both are verified against
-    :func:`_opstream_reference`.
+    :func:`_opstream_reference`.  Both operands are staged in the HMC, but
+    only the ones the opcode reads are transferred.
     """
-    params = spec.merged_params()
     try:
         opcode = NtxOpcode(params["opcode"])
     except ValueError:
@@ -550,56 +515,38 @@ def opstream_workload(
     scalar = 0.5  # on the lattice, so THRESHOLD comparisons stay exact
     elementwise = not opcode.is_reduction
     out_words = n if elementwise else 1
-    tcdm: TcdmConfig = cluster.tcdm
 
-    layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
+    layout = _tcdm_layout(cluster)
     tcdm_a = layout.alloc(n * _WORD)
     tcdm_b = layout.alloc(n * _WORD)
     tcdm_out = layout.alloc(out_words * _WORD)
+    command = NtxCommand(
+        opcode=opcode,
+        loops=LoopConfig.nest(n),
+        agu0=_stream(tcdm_a),
+        agu1=_stream(tcdm_b),
+        agu2=_stream(tcdm_out, _WORD if elementwise else 0),
+        init_level=0 if elementwise else 1,
+        store_level=0 if elementwise else 1,
+        init_source=InitSource.ZERO,
+        scalar=scalar,
+    )
 
-    rng = np.random.default_rng(spec.seed)
-    cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
-    workload = ScenarioWorkload(family="opstream", tiles=[])
-    for _ in range(spec.num_tiles):
+    def draw(rng):
         a = _lattice(rng, n)
         b = _lattice(rng, n)
-        hmc_a = _stage(hmc, cursor, a)
-        hmc_b = _stage(hmc, cursor, b)
-        hmc_out = cursor.alloc(out_words * _WORD)
+        return [a, b], [_opstream_reference(opcode, a, b, scalar)]
 
-        command = NtxCommand(
-            opcode=opcode,
-            loops=LoopConfig.nest(n),
-            agu0=AguConfig(base=tcdm_a, strides=(_WORD, 0, 0, 0, 0)),
-            agu1=AguConfig(base=tcdm_b, strides=(_WORD, 0, 0, 0, 0)),
-            agu2=AguConfig(
-                base=tcdm_out,
-                strides=((_WORD if elementwise else 0), 0, 0, 0, 0),
-            ),
-            init_level=0 if elementwise else 1,
-            store_level=0 if elementwise else 1,
-            init_source=InitSource.ZERO,
-            scalar=scalar,
-        )
-        transfers_in = []
-        if opcode.reads_operand0:
-            transfers_in.append(_transfer(hmc_a, tcdm_a, n * _WORD))
-        if opcode.reads_operand1:
-            transfers_in.append(_transfer(hmc_b, tcdm_b, n * _WORD))
-        workload.tiles.append(
-            TileSchedule(
-                transfers_in=transfers_in,
-                commands=[command],
-                transfers_out=[
-                    _transfer(tcdm_out, hmc_out, out_words * _WORD)
-                ],
-                placements=[0],
-            )
-        )
-        workload.references.append(
-            (hmc_out, _opstream_reference(opcode, a, b, scalar))
-        )
-    return workload
+    template = _Template(
+        [command],
+        inputs=(
+            tcdm_a if opcode.reads_operand0 else None,
+            tcdm_b if opcode.reads_operand1 else None,
+        ),
+        outputs=((tcdm_out, None),),
+        placements=[0],
+    )
+    return template, draw
 
 
 # --------------------------------------------------------------------------- #
@@ -607,9 +554,9 @@ def opstream_workload(
 # --------------------------------------------------------------------------- #
 
 
-def compiled_stencil_workload(
-    spec: ScenarioSpec, hmc: Hmc, cluster: ClusterConfig
-) -> ScenarioWorkload:
+def _compiled_stencil(
+    params: Dict[str, Any], cluster: ClusterConfig
+) -> Tuple[_Template, _Draw]:
     """Independent compiled-stencil tiles from a :class:`StencilSpec`.
 
     The spec's ``params`` *are* the declarative stencil; compilation
@@ -619,42 +566,27 @@ def compiled_stencil_workload(
     accumulate chain on co-processor ``plane % num_ntx``.  Boundary
     padding happens here, host-side, when the field is staged.
     """
-    params = spec.merged_params()
     stencil = StencilSpec.from_params(params)
     kernel = stencil.dense_kernel()
-    field_bytes = int(np.prod(stencil.padded_shape)) * _WORD
-    out_bytes = int(np.prod(stencil.output_shape)) * _WORD
-    tcdm: TcdmConfig = cluster.tcdm
 
-    layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
-    tcdm_field = layout.alloc(field_bytes)
+    layout = _tcdm_layout(cluster)
+    tcdm_field = layout.alloc(int(np.prod(stencil.padded_shape)) * _WORD)
     tcdm_kernel = layout.alloc(kernel.nbytes)
-    tcdm_out = layout.alloc(out_bytes)
+    tcdm_out = layout.alloc(int(np.prod(stencil.output_shape)) * _WORD)
+    commands, chains = stencil.commands(tcdm_field, tcdm_kernel, tcdm_out)
 
-    rng = np.random.default_rng(spec.seed)
-    cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
-    hmc_kernel = _stage(hmc, cursor, kernel)
-    workload = ScenarioWorkload(family="cstencil", tiles=[])
-    num_ntx = cluster.num_ntx
-    for _ in range(spec.num_tiles):
+    def draw(rng):
         grid = _lattice(rng, stencil.grid_shape)
-        hmc_field = _stage(hmc, cursor, stencil.pad(grid))
-        hmc_out = cursor.alloc(out_bytes)
+        return [stencil.pad(grid)], [stencil.reference(grid)]
 
-        commands, chains = stencil.commands(tcdm_field, tcdm_kernel, tcdm_out)
-        workload.tiles.append(
-            TileSchedule(
-                transfers_in=[
-                    _transfer(hmc_field, tcdm_field, field_bytes),
-                    _transfer(hmc_kernel, tcdm_kernel, kernel.nbytes),
-                ],
-                commands=commands,
-                transfers_out=[_transfer(tcdm_out, hmc_out, out_bytes)],
-                placements=[chain % num_ntx for chain in chains],
-            )
-        )
-        workload.references.append((hmc_out, stencil.reference(grid)))
-    return workload
+    template = _Template(
+        commands,
+        inputs=(tcdm_field,),
+        outputs=((tcdm_out, None),),
+        constants=((tcdm_kernel, kernel),),
+        placements=[chain % cluster.num_ntx for chain in chains],
+    )
+    return template, draw
 
 
 # --------------------------------------------------------------------------- #
@@ -662,9 +594,7 @@ def compiled_stencil_workload(
 # --------------------------------------------------------------------------- #
 
 
-def pipeline_workload(
-    spec: ScenarioSpec, hmc: Hmc, cluster: ClusterConfig
-) -> ScenarioWorkload:
+def _pipeline(params: Dict[str, Any], cluster: ClusterConfig) -> Tuple[_Template, _Draw]:
     """Compiled stage chains from a :class:`PipelineSpec`.
 
     Stage outputs stay resident in the TCDM and feed the next stage, so
@@ -673,18 +603,13 @@ def pipeline_workload(
     the staged input leaves and the final output returns via DMA — the
     intermediates never touch the HMC.
     """
-    params = spec.merged_params()
     pipe = PipelineSpec.from_params(params)
     first = pipe.stages[0]
-    staged_shape = (
-        first.padded_shape if isinstance(first, StencilSpec) else pipe.grid_shape
-    )
-    input_bytes = int(np.prod(staged_shape)) * _WORD
-    out_bytes = int(np.prod(pipe.output_shape)) * _WORD
-    tcdm: TcdmConfig = cluster.tcdm
+    pad = first.pad if isinstance(first, StencilSpec) else None
+    staged_shape = first.padded_shape if pad else pipe.grid_shape
 
-    layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
-    tcdm_input = layout.alloc(input_bytes)
+    layout = _tcdm_layout(cluster)
+    tcdm_input = layout.alloc(int(np.prod(staged_shape)) * _WORD)
     constants: List[Tuple[int, np.ndarray]] = []  # (tcdm_addr, value)
     constant_addrs: Dict[int, int] = {}
     for index, stage in enumerate(pipe.stages):
@@ -694,38 +619,22 @@ def pipeline_workload(
             value = np.ones(1, dtype=np.float32)  # MAC against stationary 1.0
         else:
             continue  # max/min reductions need no constant
-        address = layout.alloc(value.nbytes)
-        constants.append((address, value))
-        constant_addrs[index] = address
+        constant_addrs[index] = layout.alloc(value.nbytes)
+        constants.append((constant_addrs[index], value))
     commands, tcdm_out = pipe.compile(layout.alloc, tcdm_input, constant_addrs)
 
-    rng = np.random.default_rng(spec.seed)
-    cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
-    staged_constants = [
-        (_stage(hmc, cursor, value), address, value.nbytes)
-        for address, value in constants
-    ]
-    workload = ScenarioWorkload(family="pipeline", tiles=[])
-    for _ in range(spec.num_tiles):
+    def draw(rng):
         grid = _lattice(rng, pipe.grid_shape)
-        staged = first.pad(grid) if isinstance(first, StencilSpec) else grid
-        hmc_input = _stage(hmc, cursor, staged)
-        hmc_out = cursor.alloc(out_bytes)
+        return [pad(grid) if pad else grid], [pipe.reference(grid)]
 
-        transfers_in = [_transfer(hmc_input, tcdm_input, input_bytes)]
-        transfers_in.extend(
-            _transfer(src, dst, nbytes) for src, dst, nbytes in staged_constants
-        )
-        workload.tiles.append(
-            TileSchedule(
-                transfers_in=transfers_in,
-                commands=list(commands),
-                transfers_out=[_transfer(tcdm_out, hmc_out, out_bytes)],
-                placements=[0] * len(commands),
-            )
-        )
-        workload.references.append((hmc_out, pipe.reference(grid)))
-    return workload
+    template = _Template(
+        commands,
+        inputs=(tcdm_input,),
+        outputs=((tcdm_out, None),),
+        constants=constants,
+        placements=[0] * len(commands),
+    )
+    return template, draw
 
 
 def _validate_stencil_params(params: Dict[str, Any]) -> None:
@@ -747,19 +656,19 @@ FAMILIES: Dict[str, WorkloadFamily] = {
             name="conv",
             description="independent 2D-convolution tiles, rows banded across NTX",
             default_params={"image_shape": (12, 14), "kernel": 3},
-            builder=conv_workload,
+            builder=_conv,
         ),
         WorkloadFamily(
             name="matmul",
             description="tiled GEMM, output rows split across NTX",
             default_params={"m": 8, "k": 12, "n": 10},
-            builder=matmul_workload,
+            builder=_matmul,
         ),
         WorkloadFamily(
             name="stencil",
             description="2D discrete Laplace operator, two dependent passes",
             default_params={"field_shape": (10, 12)},
-            builder=stencil_workload,
+            builder=_stencil,
         ),
         WorkloadFamily(
             name="dnn",
@@ -771,13 +680,13 @@ FAMILIES: Dict[str, WorkloadFamily] = {
                 "kernel": 3,
                 "learning_rate": 0.125,
             },
-            builder=dnn_step_workload,
+            builder=_dnn_step,
         ),
         WorkloadFamily(
             name="opstream",
             description="one streaming command of a single opcode (Fig. 3b)",
             default_params={"opcode": "mac", "n": 512},
-            builder=opstream_workload,
+            builder=_opstream,
         ),
         WorkloadFamily(
             name="cstencil",
@@ -789,7 +698,7 @@ FAMILIES: Dict[str, WorkloadFamily] = {
                 "grid_shape": (12, 14),
                 "boundary": "valid",
             },
-            builder=compiled_stencil_workload,
+            builder=_compiled_stencil,
             validate=_validate_stencil_params,
         ),
         WorkloadFamily(
@@ -808,7 +717,7 @@ FAMILIES: Dict[str, WorkloadFamily] = {
                     {"kind": "reduce", "op": "sum"},
                 ),
             },
-            builder=pipeline_workload,
+            builder=_pipeline,
             validate=_validate_pipeline_params,
         ),
     )
@@ -818,6 +727,43 @@ FAMILIES: Dict[str, WorkloadFamily] = {
 def build_workload(
     spec: ScenarioSpec, hmc: Hmc, cluster: Optional[ClusterConfig] = None
 ) -> ScenarioWorkload:
-    """Build ``spec``'s workload staged in ``hmc`` for ``cluster``'s TCDM."""
+    """Build ``spec``'s workload staged in ``hmc`` for ``cluster``'s TCDM.
+
+    The family's template is built once; the HMC then holds its constants
+    first and, per tile, the drawn inputs in draw order followed by the
+    freshly allocated output regions.  Every tile shares the template's
+    command objects.
+    """
     family = FAMILIES[spec.family]  # spec validated the name at construction
-    return family.builder(spec, hmc, cluster or ClusterConfig())
+    template, draw = family.builder(spec.merged_params(), cluster or ClusterConfig())
+    rng = np.random.default_rng(spec.seed)
+    cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
+    constants = [
+        _transfer(_stage(hmc, cursor, value), address, value.nbytes)
+        for address, value in template.constants
+    ]
+    workload = ScenarioWorkload(family=spec.family, tiles=[])
+    for _ in range(spec.num_tiles):
+        inputs, goldens = draw(rng)
+        staged = [_stage(hmc, cursor, array) for array in inputs]
+        transfers_in = [
+            _transfer(src, dst, array.nbytes)
+            for src, dst, array in zip(staged, template.inputs, inputs, strict=True)
+            if dst is not None
+        ]
+        transfers_out = []
+        for (tcdm_addr, over), golden in zip(template.outputs, goldens, strict=True):
+            hmc_addr = cursor.alloc(golden.nbytes) if over is None else staged[over]
+            transfers_out.append(_transfer(tcdm_addr, hmc_addr, golden.nbytes))
+            workload.references.append((hmc_addr, golden))
+        workload.tiles.append(
+            TileSchedule(
+                transfers_in=transfers_in + constants,
+                commands=list(template.commands),
+                transfers_out=transfers_out,
+                placements=(
+                    None if template.placements is None else list(template.placements)
+                ),
+            )
+        )
+    return workload

@@ -15,8 +15,9 @@
 * :mod:`repro.system.batch` — cross-tile batched replay: cache-hit tiles
   sharing one timing signature execute their data planes as a single
   stacked NumPy dispatch, guarded by a per-group self-containment gate.
-* :mod:`repro.system.workloads` — workload builders (tiles staged in the
-  HMC, verified against NumPy references after the run).
+
+Workloads come from :func:`repro.scenarios.build_workload` (tiles staged in
+the HMC, verified against NumPy references after the run).
 """
 
 from repro.system.batch import ClusterAssignment, run_cluster_groups_batched
@@ -24,7 +25,6 @@ from repro.system.config import SystemConfig
 from repro.system.memo import CachedTiming, TileTimingCache
 from repro.system.scheduler import ShardPlan, WorkQueueScheduler, shard_round_robin
 from repro.system.simulator import ClusterReport, SystemResult, SystemSimulator
-from repro.system.workloads import ConvWorkload, conv_tiled_workload
 
 __all__ = [
     "ClusterAssignment",
@@ -38,6 +38,4 @@ __all__ = [
     "ClusterReport",
     "SystemResult",
     "SystemSimulator",
-    "ConvWorkload",
-    "conv_tiled_workload",
 ]

@@ -27,8 +27,10 @@ commands of the same tile (own-command RAW reads resolve like the
 unbatched fast path), and every byte its DMA-out transfers push back must
 be covered by its DMA-in data or its command stores.  A self-contained
 tile computes the same result on a zero-initialised private image as on
-the residue-carrying shared TCDM.  If *any* tile of a run fails the gate
-(or stages outside the HMC↔TCDM address classes), the whole run falls
+the residue-carrying shared TCDM.  The HMC side of every tile's transfers
+is checked separately for every tile, since that is what varies across
+the members of a group.  If *any* tile of a run fails the gate (or stages
+outside the HMC↔TCDM address classes), the whole run falls
 back to the per-tile sequential path before any state was touched, so
 correctness never depends on the gate being clever.
 
@@ -173,29 +175,42 @@ def _reads_resolved(
     )
 
 
+def _hmc_side_in_bounds(config: SystemConfig, tile: TileSchedule) -> bool:
+    """Whether every HMC-side DMA row of ``tile`` lies inside the HMC.
+
+    Checked for every tile: the HMC addresses are what varies across the
+    members of a group.  A tile staging from anywhere else must run through
+    the real DMA router, which raises on an unmapped address.
+    """
+    hmc_base = config.hmc.base_address
+    hmc_top = hmc_base + config.hmc.capacity_bytes
+    sides = [(t, t.src, t.src_pitch) for t in tile.transfers_in]
+    sides += [(t, t.dst, t.dst_pitch) for t in tile.transfers_out]
+    for transfer, first, pitch in sides:
+        last = first + (transfer.rows - 1) * (pitch or transfer.row_bytes)
+        if min(first, last) < hmc_base or max(first, last) + transfer.row_bytes > hmc_top:
+            return False
+    return True
+
+
 def _self_contained(
     config: SystemConfig, tile: TileSchedule, jobs: Sequence[Tuple[int, object]]
 ) -> bool:
     """Whether ``tile`` computes identically on a zeroed private image.
 
     Checked once per batch key (every member shares the command streams and
-    the TCDM-side DMA layout).  Also rejects tiles staging outside the
-    HMC↔TCDM address classes — those must run through the real DMA router.
+    the TCDM-side DMA layout); the HMC side is :func:`_hmc_side_in_bounds`.
     """
     tcdm_cfg = config.cluster.tcdm
     base = tcdm_cfg.base_address
     size = tcdm_cfg.size_bytes
     if size % _WORD:  # pragma: no cover - TCDM sizes are word multiples
         return False
-    hmc_base = config.hmc.base_address
-    hmc_top = hmc_base + config.hmc.capacity_bytes
     covered = np.zeros(size, dtype=bool)
 
     for transfer in tile.transfers_in:
-        for src, dst in transfer.row_addresses():
+        for _, dst in transfer.row_addresses():
             if not (base <= dst and dst + transfer.row_bytes <= base + size):
-                return False
-            if not (hmc_base <= src and src + transfer.row_bytes <= hmc_top):
                 return False
             covered[dst - base : dst - base + transfer.row_bytes] = True
 
@@ -222,10 +237,8 @@ def _self_contained(
                 cov_bytes[(store_addrs - base) >> 2] = True
 
     for transfer in tile.transfers_out:
-        for src, dst in transfer.row_addresses():
+        for src, _ in transfer.row_addresses():
             if not (base <= src and src + transfer.row_bytes <= base + size):
-                return False
-            if not (hmc_base <= dst and dst + transfer.row_bytes <= hmc_top):
                 return False
             if not covered[src - base : src - base + transfer.row_bytes].all():
                 return False
@@ -291,6 +304,8 @@ def run_cluster_groups_batched(
         signer = ClusterSimulator(item.cluster, engine=config.engine)
         infos = []
         for _, tile in item.assigned:
+            if not _hmc_side_in_bounds(config, tile):
+                return None
             jobs = tile.jobs(num_ntx) if tile.commands else []
             signature = (
                 signer.timing_signature(jobs, stagger_cycles=config.stagger_cycles)

@@ -1,8 +1,8 @@
 """Tile-timing memoization for system-scale runs.
 
 A tiled workload at system scale is dominated by *identical* tiles: every
-interior tile of :func:`~repro.system.workloads.conv_tiled_workload` stages
-the same shapes to the same TCDM addresses and issues the same command
+tile of a :func:`~repro.scenarios.build_workload` workload stages the
+same shapes to the same TCDM addresses and issues the same command
 stream — only the data differs.  The cycle-level engines are data-oblivious
 (request streams are generated from command structure alone, and every tile
 gets a fresh interconnect), so all those tiles take exactly the same number

@@ -18,29 +18,55 @@ every combination of cycle engine, memoization and batching.  This file holds th
   outputs.
 
 The reference draws lattice-valued operands (multiples of 1/16) so both
-cycle engines produce bit-identical floating-point results; one test uses
-arbitrary normal data to check batched-vs-unbatched identity *within* the
-vectorized engine, where no cross-engine rounding question arises.
+cycle engines produce bit-identical floating-point results; one test
+restages arbitrary normal data to check batched-vs-unbatched identity
+*within* the vectorized engine, where no cross-engine rounding question
+arises.
 """
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.obs.metrics import REGISTRY
 from repro.options import ExecutionOptions
-from repro.scenarios import registered_scenarios, run_scenario
-from repro.scenarios.workloads import _lattice
+from repro.scenarios import ScenarioSpec, build_workload, registered_scenarios, run_scenario
 from repro.system import (
     ClusterAssignment,
     SystemConfig,
     SystemSimulator,
-    conv_tiled_workload,
     run_cluster_groups_batched,
 )
 from repro.system.memo import TileTimingCache
+
+
+def _conv(simulator, num_tiles=8, image_shape=(12, 14), seed=2019):
+    """Independent convolution tiles staged in ``simulator``'s HMC."""
+    spec = ScenarioSpec(
+        name="conv",
+        family="conv",
+        params={"image_shape": image_shape},
+        num_tiles=num_tiles,
+        seed=seed,
+    )
+    return build_workload(spec, simulator.hmc, simulator.config.cluster)
+
+
+def _restage_normal(hmc, workload, seed):
+    """Overwrite every staged input row with standard-normal float32 draws.
+
+    The goldens then no longer describe the HMC contents; the point is
+    data off the 1/16 lattice.
+    """
+    rng = np.random.default_rng(seed)
+    for tile in workload.tiles:
+        for transfer in tile.transfers_in:
+            for src, _ in transfer.row_addresses():
+                words = rng.standard_normal(transfer.row_bytes // 4)
+                hmc.memory.store_array(src, words.astype(np.float32))
 
 
 def _run(
@@ -51,21 +77,20 @@ def _run(
     memoize=True,
     batch=True,
     config=None,
-    draw=_lattice,
+    normal=False,
 ):
-    """One end-to-end system run; returns (simulator, workload, result)."""
+    """One end-to-end system run; returns (simulator, workload, result).
+
+    ``normal`` restages the inputs with :func:`_restage_normal` first.
+    """
     if config is None:
         config = SystemConfig(engine=engine)
     simulator = SystemSimulator(
         config, options=ExecutionOptions(memoize=memoize, batch=batch)
     )
-    workload = conv_tiled_workload(
-        simulator.hmc,
-        num_tiles=num_tiles,
-        image_shape=image_shape,
-        seed=seed,
-        draw=draw,
-    )
+    workload = _conv(simulator, num_tiles, image_shape, seed)
+    if normal:
+        _restage_normal(simulator.hmc, workload, seed)
     result = simulator.run(workload.tiles)
     return simulator, workload, result
 
@@ -102,13 +127,14 @@ def _timing_view(result):
     )
 
 
-def _assert_matches_reference(reference, candidate):
+def _assert_matches_reference(reference, candidate, verify=True):
     """Bit-identical HMC contents and identical timing reports."""
     ref_sim, ref_workload, ref_result = reference
     sim, workload, result = candidate
     assert np.array_equal(_hmc_bytes(ref_sim), _hmc_bytes(sim))
     assert _timing_view(result) == _timing_view(ref_result)
-    workload.verify(sim.hmc)
+    if verify:
+        workload.verify(sim.hmc)
 
 
 # -- the accelerator matrix ----------------------------------------------------
@@ -144,12 +170,14 @@ class TestBatchedVsUnbatchedArbitraryData:
     the *same* engine."""
 
     def test_vectorized_engine_bit_identical(self):
-        def normal(rng, shape):
-            return rng.standard_normal(shape).astype(np.float32)
-
-        unbatched = _run(memoize=True, batch=False, draw=normal, seed=7)
-        batched = _run(memoize=True, batch=True, draw=normal, seed=7)
-        _assert_matches_reference(unbatched, batched)
+        unbatched = _run(memoize=True, batch=False, normal=True, seed=7)
+        batched = _run(memoize=True, batch=True, normal=True, seed=7)
+        _assert_matches_reference(unbatched, batched, verify=False)
+        sim, workload, result = batched
+        assert result.cache_hits > 0
+        # The restaged data reached the engines: the lattice goldens fail.
+        with pytest.raises(AssertionError):
+            workload.verify(sim.hmc)
 
 
 # -- randomized fuzz sweep -----------------------------------------------------
@@ -226,9 +254,7 @@ class TestFuzzParity:
 
 def _doctored(simulator, num_tiles=6):
     """A workload one of whose interior tiles fails the gate."""
-    workload = conv_tiled_workload(
-        simulator.hmc, num_tiles=num_tiles, image_shape=(12, 14), draw=_lattice
-    )
+    workload = _conv(simulator, num_tiles)
     # Strip the staging DMA of one interior tile: its commands now read
     # uncovered TCDM words, so the group containing it is not
     # self-contained.
@@ -276,6 +302,25 @@ class TestSelfContainmentGate:
         (ref_sim, _, ref_result), (sim, _, result) = runs
         assert np.array_equal(_hmc_bytes(ref_sim), _hmc_bytes(sim))
         assert _timing_view(result) == _timing_view(ref_result)
+
+
+class TestHmcBoundsGate:
+    """The gate checks the HMC-side rows of *every* member of a group, not
+    only the first: a tile staging from outside the HMC must take the
+    per-tile path, which raises, instead of replaying wrapped bytes."""
+
+    def test_out_of_hmc_source_on_a_later_member_is_refused(self):
+        REGISTRY.set_enabled(True)
+        for batch in (False, True):
+            simulator = SystemSimulator(
+                SystemConfig(), options=ExecutionOptions(batch=batch)
+            )
+            workload = _conv(simulator, num_tiles=4)
+            last = workload.tiles[-1]
+            last.transfers_in[0] = replace(last.transfers_in[0], src=0x7FFFF000)
+            with pytest.raises(IndexError, match="0x7ffff000 is not TCDM, L2 or HMC"):
+                simulator.run(workload.tiles)
+        assert _dispatch_counts() == {"batched": 0, "refused": 1, "per_tile": 1}
 
 
 def _dispatch_counts() -> dict:

@@ -2,6 +2,8 @@
 builders, golden-model verification (including its failure paths) and the
 scenario runner."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from repro.cluster.engine import available_engines, get_engine
 from repro.cluster.tiling import TileSchedule
 from repro.mem.hmc import Hmc
 from repro.options import ExecutionOptions
+from repro.system import SystemSimulator
 from repro.scenarios import (
     FAMILIES,
     ScenarioSpec,
     build_workload,
     get_scenario,
+    iter_scenarios,
     register_scenario,
     registered_scenarios,
     run_scenario,
@@ -165,7 +169,8 @@ class TestWorkloadFamilies:
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_verify_failure_path(self, name):
-        """Corrupting any verified output region must fail verification."""
+        """Corrupting any verified output region must fail verification,
+        down to a one-ulp change of a single word (verify is bit-exact)."""
         spec = next(
             get_scenario(s) for s in registered_scenarios()
             if get_scenario(s).family == name
@@ -174,14 +179,19 @@ class TestWorkloadFamilies:
             spec, num_tiles=1, num_vaults=1, clusters_per_vault=1
         )
         hmc = outcome.simulator.hmc
+        perturbations = (
+            lambda x: x + np.float32(1.0),
+            lambda x: np.nextafter(x, np.float32(np.inf)),
+        )
         for address, expected in outcome.workload.references:
             produced = hmc.memory.load_array(address, expected.shape)
-            corrupted = produced.copy().ravel()
-            corrupted[0] += np.float32(1.0)
-            hmc.memory.store_array(address, corrupted.reshape(expected.shape))
-            with pytest.raises(AssertionError):
-                outcome.workload.verify(hmc)
-            hmc.memory.store_array(address, produced)  # restore for the next region
+            for perturb in perturbations:
+                corrupted = produced.copy().ravel()
+                corrupted[0] = perturb(corrupted[0])
+                hmc.memory.store_array(address, corrupted.reshape(expected.shape))
+                with pytest.raises(AssertionError):
+                    outcome.workload.verify(hmc)
+                hmc.memory.store_array(address, produced)  # restore
         outcome.workload.verify(hmc)  # restored state passes again
 
     def test_build_workload_is_deterministic(self):
@@ -209,20 +219,80 @@ class TestWorkloadFamilies:
         for a, b in zip(plain.output_arrays(), fast.output_arrays()):
             assert np.array_equal(a, b)  # bit-identical HMC buffers
 
-    def test_conv_scenario_matches_legacy_workload_shape(self):
-        """The conv family is the port of conv_tiled_workload: same tiling
-        structure (bands, transfers) for the same shape parameters."""
-        from repro.system import conv_tiled_workload
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_tiles_share_one_command_stream(self, family):
+        """The command stream is built once per build, not once per tile."""
+        spec = next(s for s in iter_scenarios() if s.family == family)
+        workload = build_workload(spec.with_overrides(num_tiles=3), Hmc())
+        first = workload.tiles[0]
+        for tile in workload.tiles[1:]:
+            assert len(tile.commands) == len(first.commands)
+            assert all(a is b for a, b in zip(tile.commands, first.commands))
+            assert tile.placements == first.placements
 
-        spec = get_scenario("conv-tiled").with_overrides(num_tiles=2)
-        hmc = Hmc()
-        ported = build_workload(spec, hmc, ClusterConfig())
-        legacy = conv_tiled_workload(Hmc(), num_tiles=2)
-        assert len(ported.tiles) == len(legacy.tiles)
-        for new_tile, old_tile in zip(ported.tiles, legacy.tiles):
-            assert len(new_tile.commands) == len(old_tile.commands)
-            assert new_tile.bytes_in == old_tile.bytes_in
-            assert new_tile.bytes_out == old_tile.bytes_out
+
+def _staging_digest(hmc, tiles) -> str:
+    """SHA-256 (first 16 hex digits) over every DMA transfer's HMC-side
+    row addresses and the bytes they hold."""
+    digest = hashlib.sha256()
+    for tile in tiles:
+        rows = [
+            src for transfer in tile.transfers_in
+            for src, _ in transfer.row_addresses()
+        ] + [
+            dst for transfer in tile.transfers_out
+            for _, dst in transfer.row_addresses()
+        ]
+        sizes = [t.row_bytes for t in tile.transfers_in for _ in range(t.rows)]
+        sizes += [t.row_bytes for t in tile.transfers_out for _ in range(t.rows)]
+        for address, size in zip(rows, sizes):
+            digest.update(address.to_bytes(8, "little"))
+            digest.update(hmc.memory.read_bytes(address, size))
+    return digest.hexdigest()[:16]
+
+
+#: ``(after build, after run)`` staging digests per scenario.  Any change to
+#: an HMC address, to the order of the generator's draws or to an output
+#: byte changes them.
+_STAGING_DIGESTS = {
+    "conv-tiled": ('7c9174ae399142b0', 'c6afbc1224311e87'),
+    "matmul-tiled": ('7a6a5c3261384059', '9c78fdd1c34172ab'),
+    "stencil-laplace2d": ('4af67e1ff2ed63bd', '7dd086e58d8602b7'),
+    "dnn-training-step": ('93126504aaed6b52', '80f3732febe2905b'),
+    "opcode-stream": ('1f4f2379ea6d87a4', '3446c6ae4de0d786'),
+    "cstencil-laplace27": ('079b012520f6b0d3', 'd9104e86048937fe'),
+    "cstencil-heat3d": ('dedf6fd852930274', 'deebb86ac13d08d4'),
+    "cstencil-gauss-blur": ('3c2db4292d510183', '22e83e3bcc69ad08'),
+    "cstencil-bilateral": ('9c5bd8e0560f50bb', 'e36a8b13b8d238ef'),
+    "cstencil-laplace2d-vn": ('1ff88914d01ca478', 'faae8a4fc90788e5'),
+    "pipeline-blur-stencil-reduce": ('9a5ad7cb11e5fb09', 'c0c94d189fac69f6'),
+    "opcode-stream[relu]": ('cf236c92c5fe2991', 'a8465059346303b0'),
+}
+
+#: Cases beyond the registered scenarios: an opcode that reads one operand
+#: (the second is staged but never transferred).
+_STAGING_EXTRA = {
+    "opcode-stream[relu]": ("opcode-stream", {"params": {"opcode": "relu"}}),
+}
+
+
+class TestStagingLayout:
+    """HMC addresses, staged bytes and draw order are pinned per scenario."""
+
+    @pytest.mark.parametrize(
+        "case", [*registered_scenarios(), *_STAGING_EXTRA]
+    )
+    def test_staging_digests_are_pinned(self, case):
+        name, overrides = _STAGING_EXTRA.get(case, (case, {}))
+        spec = get_scenario(name).with_overrides(**overrides)
+        config = spec.system_config()
+        simulator = SystemSimulator(config)
+        workload = build_workload(spec, simulator.hmc, config.cluster)
+        built = _staging_digest(simulator.hmc, workload.tiles)
+        simulator.run(workload.tiles)
+        workload.verify(simulator.hmc)
+        ran = _staging_digest(simulator.hmc, workload.tiles)
+        assert (built, ran) == _STAGING_DIGESTS[case]
 
 
 class TestRunnerSurface:

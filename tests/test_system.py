@@ -3,27 +3,39 @@ end-to-end system run on a shared HMC, the bandwidth contention model,
 tile-timing memoization and the dispatch between batched replay and the
 per-tile path."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.options import ExecutionOptions
+from repro.scenarios import ScenarioSpec, build_workload
 from repro.system import (
     SystemConfig,
     SystemSimulator,
     WorkQueueScheduler,
-    conv_tiled_workload,
     shard_round_robin,
 )
+
+
+def _conv(simulator, num_tiles, image_shape=(12, 14), seed=2019):
+    """Independent convolution tiles staged in ``simulator``'s HMC."""
+    spec = ScenarioSpec(
+        name="conv",
+        family="conv",
+        params={"image_shape": image_shape},
+        num_tiles=num_tiles,
+        seed=seed,
+    )
+    return build_workload(spec, simulator.hmc, simulator.config.cluster)
 
 
 def _run_system(config, num_tiles, image_shape=(12, 14), memoize=True, seed=2019):
     """One end-to-end run; returns (simulator, workload, result, outputs)."""
     simulator = SystemSimulator(config, options=ExecutionOptions(memoize=memoize))
-    workload = conv_tiled_workload(
-        simulator.hmc, num_tiles=num_tiles, image_shape=image_shape, seed=seed
-    )
+    workload = _conv(simulator, num_tiles, image_shape, seed)
     result = simulator.run(workload.tiles)
     outputs = [
         simulator.hmc.memory.load_array(address, expected.shape)
@@ -107,9 +119,24 @@ class TestSystemConfig:
 
 
 class TestSystemSimulator:
+    def test_dropped_simulator_frees_its_hmc_without_gc(self):
+        """No reference cycle keeps a dropped simulator's clusters, and the
+        HMC pages they touched, alive until the next full collection."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            simulator = SystemSimulator(SystemConfig())
+            simulator.run(_conv(simulator, 4).tiles)
+            hmc = weakref.ref(simulator.hmc)
+            del simulator
+            assert hmc() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_two_vaults_four_clusters_end_to_end(self):
         simulator = SystemSimulator(SystemConfig(num_vaults=2, clusters_per_vault=4))
-        workload = conv_tiled_workload(simulator.hmc, num_tiles=10)
+        workload = _conv(simulator, 10)
         result = simulator.run(workload.tiles)
         # Every tile executed, results are bit-correct in the shared HMC.
         workload.verify(simulator.hmc)
@@ -131,7 +158,7 @@ class TestSystemSimulator:
 
     def test_single_tile_leaves_clusters_idle(self):
         simulator = SystemSimulator(SystemConfig(num_vaults=2, clusters_per_vault=4))
-        workload = conv_tiled_workload(simulator.hmc, num_tiles=1)
+        workload = _conv(simulator, 1)
         result = simulator.run(workload.tiles)
         workload.verify(simulator.hmc)
         busy = [r for r in result.reports if r.tile_indices]
@@ -143,7 +170,7 @@ class TestSystemSimulator:
         for clusters_per_vault in (1, 4):
             config = SystemConfig(num_vaults=2, clusters_per_vault=clusters_per_vault)
             simulator = SystemSimulator(config)
-            workload = conv_tiled_workload(simulator.hmc, num_tiles=8)
+            workload = _conv(simulator, 8)
             makespans[clusters_per_vault] = simulator.run(workload.tiles).makespan_cycles
         assert makespans[4] < makespans[1]
 
@@ -155,7 +182,7 @@ class TestSystemSimulator:
                 num_vaults=num_vaults, clusters_per_vault=clusters_per_vault
             )
             simulator = SystemSimulator(config)
-            workload = conv_tiled_workload(simulator.hmc, num_tiles=16)
+            workload = _conv(simulator, 16)
             results[num_vaults] = simulator.run(workload.tiles)
             workload.verify(simulator.hmc)
         assert results[2].contention_factor == pytest.approx(1.0)
@@ -191,7 +218,7 @@ class TestSystemSimulator:
         for engine in ("scalar", "vectorized"):
             config = SystemConfig(num_vaults=1, clusters_per_vault=2, engine=engine)
             simulator = SystemSimulator(config)
-            workload = conv_tiled_workload(simulator.hmc, num_tiles=4, seed=77)
+            workload = _conv(simulator, 4, seed=77)
             result = simulator.run(workload.tiles)
             workload.verify(simulator.hmc)
             summaries[engine] = result
@@ -332,7 +359,7 @@ class TestTilingMemoization:
         """A second run of the same workload shape is all cache hits."""
         config = SystemConfig(num_vaults=1, clusters_per_vault=2)
         simulator = SystemSimulator(config)
-        first = conv_tiled_workload(simulator.hmc, num_tiles=4)
+        first = _conv(simulator, 4)
         result_first = simulator.run(first.tiles)
         assert result_first.cache_misses == 1
         result_second = simulator.run(first.tiles)
