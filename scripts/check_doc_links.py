@@ -14,7 +14,8 @@ Three classes of rot are caught:
   documents' tables of contents are validated too.
 * Inline-code references to ``repro.*`` modules, ``src/``/``tests/``/
   ``benchmarks/``/``examples/``/``docs/`` paths that no longer resolve in
-  the tree.
+  the tree, and ``repro.x.y.Name`` references whose ``Name`` no longer
+  appears in module ``repro.x.y``'s source.
 
 The script is intentionally standalone (stdlib only, no ``repro``
 import), so the CI link-check job can run it without installing NumPy.
@@ -82,19 +83,38 @@ def anchors_of(path: Path) -> set[str]:
     return anchors
 
 
-def module_exists(dotted: str) -> bool:
-    """Whether some prefix of ``dotted`` resolves to a module under src/.
+def resolve_module(dotted: str) -> tuple[Path, list[str]] | None:
+    """The longest prefix of ``dotted`` that is a module under src/.
 
-    References like ``repro.cluster.sim.ClusterSimulator`` name an
-    attribute of a module; the longest resolvable prefix is what must
-    exist on disk.
+    Returns that module's source file and the names that follow it
+    (``repro.cluster.sim.ClusterSimulator`` -> ``sim.py``,
+    ``["ClusterSimulator"]``), or ``None`` when no prefix resolves.
     """
     parts = dotted.split(".")
     for depth in range(len(parts), 0, -1):
         base = REPO / "src" / Path(*parts[:depth])
-        if base.with_suffix(".py").is_file() or (base / "__init__.py").is_file():
-            return True
-    return False
+        for source in (base.with_suffix(".py"), base / "__init__.py"):
+            if source.is_file():
+                return source, parts[depth:]
+    return None
+
+
+def stale_name(dotted: str) -> str | None:
+    """Problem text for a ``repro.*`` reference that no longer resolves.
+
+    The module prefix must exist on disk, and the first name after it
+    must still appear as a word in that module's source (a text search:
+    nothing is imported).
+    """
+    resolved = resolve_module(dotted)
+    if resolved is None:
+        return f"unknown module -> {dotted}"
+    source, names = resolved
+    if names and not re.search(
+        rf"\b{re.escape(names[0])}\b", source.read_text(encoding="utf-8")
+    ):
+        return f"unknown name -> {dotted} ({names[0]} not in {source.relative_to(REPO)})"
+    return None
 
 
 def check_file(path: Path) -> list[str]:
@@ -121,10 +141,9 @@ def check_file(path: Path) -> list[str]:
     for match in _CODE.finditer(text):
         code = match.group(1)
         dotted = _MODULE.match(code)
-        if dotted and not module_exists(dotted.group(0)):
-            problems.append(
-                f"{path.relative_to(REPO)}: unknown module -> {dotted.group(0)}"
-            )
+        problem = stale_name(dotted.group(0)) if dotted else None
+        if problem:
+            problems.append(f"{path.relative_to(REPO)}: {problem}")
             continue
         pathlike = _PATHLIKE.match(code)
         if pathlike and not (REPO / pathlike.group(0)).exists():

@@ -73,10 +73,11 @@ class MetricCheck:
 
     def describe(self) -> str:
         verdict = "REGRESSION" if self.regressed else "ok"
+        direction = "better" if self.change < 0 else "worse"
         return (
             f"{verdict:10s} {self.scenario}/{self.metric}: "
             f"{self.current:g} vs baseline {self.baseline:g} "
-            f"({self.change:+.1%} worse, tolerance {self.tolerance:.0%})"
+            f"({abs(self.change):.1%} {direction}, tolerance {self.tolerance:.0%})"
         )
 
 

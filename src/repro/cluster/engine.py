@@ -8,7 +8,8 @@ seam explicit:
 
 * :class:`Engine` — the protocol every backend implements: ``run`` (the
   full cycle-level simulation), ``run_data_plane`` (data effects only,
-  the timing-cache hit path) and ``timing_signature`` (the hashable key
+  the timing-cache hit path, over the live TCDM or a batch group's stack
+  of private TCDM images) and ``timing_signature`` (the hashable key
   under which a run's timing may be memoized).
 * :func:`register_engine` / :func:`get_engine` /
   :func:`available_engines` — the registry.  Everything that accepts an
@@ -70,20 +71,15 @@ class Engine(Protocol):
         """Simulate ``jobs`` cycle by cycle until every command completed."""
         ...  # pragma: no cover - protocol
 
-    def run_data_plane(self, simulator: "ClusterSimulator", jobs: Jobs) -> None:
-        """Apply ``jobs``' data effects only (the timing-cache hit path)."""
-        ...  # pragma: no cover - protocol
+    def run_data_plane(
+        self, simulator: "ClusterSimulator", jobs: Jobs, images=None
+    ) -> None:
+        """Apply ``jobs``' data effects only (the timing-cache hit path).
 
-    def run_data_plane_batched(
-        self, simulator: "ClusterSimulator", jobs: Jobs, images
-    ) -> bool:
-        """Replay ``jobs`` over a stack of private TCDM images at once.
-
-        ``images`` is a float32 array of shape ``(tiles, tcdm_words)`` —
-        one row per tile of a same-signature batch group (see
-        :mod:`repro.system.batch`).  Returns ``True`` when the engine
-        executed the whole stack, ``False`` when it does not support
-        batched replay; the caller then replays the group tile by tile.
+        ``images`` is ``None`` for the simulator's live TCDM, or a float32
+        array of shape ``(tiles, tcdm_words)``: the private TCDM images of
+        a same-signature batch group (see :mod:`repro.system.batch`), all
+        replayed at once.
         """
         ...  # pragma: no cover - protocol
 
@@ -111,12 +107,6 @@ class _EngineBase:
 
     name = "abstract"
     description = ""
-    #: Whether :meth:`run_data_plane_batched` executes stacked groups.
-    supports_batched_replay = False
-
-    def run_data_plane_batched(self, simulator, jobs, images) -> bool:
-        """Default: batched replay unsupported; caller replays per tile."""
-        return False
 
     def timing_signature(
         self,
@@ -139,7 +129,6 @@ class VectorizedEngine(_EngineBase):
 
     name = "vectorized"
     description = "NumPy-batched timing core and data plane (default, ~10x faster)"
-    supports_batched_replay = True
 
     def run(self, simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles):
         from repro.cluster.vecsim import run_vectorized
@@ -148,16 +137,10 @@ class VectorizedEngine(_EngineBase):
             simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles
         )
 
-    def run_data_plane(self, simulator, jobs) -> None:
+    def run_data_plane(self, simulator, jobs, images=None) -> None:
         from repro.cluster.vecsim import run_data_plane
 
-        run_data_plane(simulator, jobs, exact=False)
-
-    def run_data_plane_batched(self, simulator, jobs, images) -> bool:
-        from repro.cluster.vecsim import run_data_plane_batched
-
-        run_data_plane_batched(simulator, jobs, images)
-        return True
+        run_data_plane(simulator, jobs, images)
 
 
 class ScalarEngine(_EngineBase):
@@ -171,12 +154,12 @@ class ScalarEngine(_EngineBase):
             simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles
         )
 
-    def run_data_plane(self, simulator, jobs) -> None:
+    def run_data_plane(self, simulator, jobs, images=None) -> None:
         # Replay through the exact per-op soft-float executor so memoized
         # scalar runs stay bit-identical to uncached scalar runs.
         from repro.cluster.vecsim import run_data_plane
 
-        run_data_plane(simulator, jobs, exact=True)
+        run_data_plane(simulator, jobs, images, exact=True)
 
 
 # --------------------------------------------------------------------------- #

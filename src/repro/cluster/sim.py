@@ -141,13 +141,18 @@ class ClusterSimulator:
             self, jobs, dma_requests_per_cycle, stagger_cycles
         )
 
-    def run_data_plane(self, jobs: Sequence[Tuple[int, NtxCommand]]) -> None:
+    def run_data_plane(
+        self, jobs: Sequence[Tuple[int, NtxCommand]], images=None
+    ) -> None:
         """Execute ``jobs``' data effects only, skipping the cycle loop.
 
         This is the timing-cache *hit* path: the TCDM ends up bit-identical
         to a full :meth:`run` of the same engine, while the (already cached)
-        timing is not recomputed.  The scalar engine replays through the
-        exact per-op soft-float executor; the vectorized engine uses its
-        usual array fast path.
+        timing is not recomputed.  ``images``, when given, is a float32
+        ``(tiles, tcdm_words)`` stack of private TCDM images that every
+        replay row runs over instead of the live TCDM (the batched hit path
+        of :mod:`repro.system.batch`).  The scalar engine replays through
+        the exact per-op soft-float executor; the vectorized engine uses
+        its usual array fast path.
         """
-        self._engine.run_data_plane(self, jobs)
+        self._engine.run_data_plane(self, jobs, images)

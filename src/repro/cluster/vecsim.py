@@ -15,7 +15,10 @@ phases so the per-cycle loop touches almost nothing:
    cycle.  Commands with intra-command read-after-write hazards fall back
    to the exact per-op executor; on the fast path only MAC can differ from
    the soft-float reference, by at most a final-ulp rounding (see
-   :mod:`repro.core.vecops`).
+   :mod:`repro.core.vecops`).  The same data plane serves the timing-cache
+   hit path of both engines (:func:`run_data_plane`), over the live TCDM
+   or over the private image stack of a batch group
+   (:mod:`repro.system.batch`).
 3. **Timing core**: a lean per-cycle loop that models exactly the same
    machine as the scalar engine — per-port head-of-line requests, the
    operand-FIFO run-ahead window, one retirement per cycle, write-back
@@ -33,7 +36,8 @@ workloads.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import struct
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,11 +47,10 @@ from repro.core.vecops import (
     command_streams,
     execute_functional,
     execute_streams,
-    execute_streams_batched,
 )
 from repro.obs import metrics as _metrics
 
-__all__ = ["run_vectorized", "run_data_plane", "run_data_plane_batched"]
+__all__ = ["run_vectorized", "run_data_plane"]
 
 _DATA_PLANE_COMMANDS = _metrics.counter(
     "repro_data_plane_commands_total",
@@ -123,59 +126,116 @@ class _NtxState:
 
 
 def _run_data_plane(
-    cluster, jobs_per_ntx: List[List[_CommandPlan]], exact: bool = False
+    cluster,
+    jobs_per_ntx: List[List[_CommandPlan]],
+    images: Optional[np.ndarray] = None,
+    exact: bool = False,
 ) -> None:
-    """Apply every command's data effects in issue order.
+    """Apply every command's data effects in issue order over an image stack.
 
-    With ``exact=True`` every command goes through the per-op soft-float
-    executor instead of the array fast path; this is what the timing-cache
-    hit path uses when the *scalar* engine is memoized, so that cached runs
-    stay bit-identical to uncached scalar runs.
+    ``images`` holds one float32 TCDM word-view row per tile (see
+    :func:`repro.core.vecops.execute_streams`); ``None`` is the cluster's
+    live TCDM as a one-row stack.  Each command runs over the whole stack
+    in one array dispatch, and a command the array path refuses runs
+    through the exact per-op executor row by row.  With ``exact=True``
+    every command takes the per-op path: the timing-cache hit path of the
+    *scalar* engine uses it, so memoized scalar runs stay bit-identical to
+    uncached ones.
+
+    Statistics are accounted wholesale — each command's counters times the
+    stack height — onto ``cluster``.  Aggregate system totals match the
+    per-tile path exactly; per-cluster attribution of a multi-cluster
+    batch group lands on the cluster it is replayed on (nothing in the
+    system reports reads the per-cluster counters).
     """
     tcdm = cluster.tcdm
-    for ntx_id, plans in enumerate(jobs_per_ntx):
-        ntx = cluster.ntx[ntx_id]
+    if images is None:
+        images = tcdm.memory.words()[None, :]
+    height = images.shape[0]
+    base = tcdm.base
+    for ntx, plans in zip(cluster.ntx, jobs_per_ntx):
         for plan in plans:
             command = plan.command
-            fast_path = not exact and execute_streams(command, plan.streams, tcdm)
-            if not fast_path:
-                execute_functional(ntx, command, tcdm)
-            _DATA_PLANE_COMMANDS.inc(
-                path="fast" if fast_path else "exact" if exact else "refused"
+            fast_path = not exact and execute_streams(
+                command, plan.streams, images, base
             )
-            stats = ntx.stats
-            stats.commands += 1
-            stats.iterations += plan.total
-            stats.flops += command.flops
-            stats.tcdm_reads += plan.streams.num_reads
-            stats.tcdm_writes += plan.num_stores
-            stats.ideal_cycles += cluster.config.ntx.ideal_cycles(command)
+            _DATA_PLANE_COMMANDS.inc(
+                height, path="fast" if fast_path else "exact" if exact else "refused"
+            )
             if fast_path:
-                # The fallback executor issued the real FPU (which counts its
+                _account_accesses(tcdm, plan.streams, height)
+            else:
+                for row in images:
+                    execute_functional(ntx, command, _ImageTcdm(row, tcdm))
+            stats = ntx.stats
+            stats.commands += height
+            stats.iterations += plan.total * height
+            stats.flops += command.flops * height
+            stats.tcdm_reads += plan.streams.num_reads * height
+            stats.tcdm_writes += plan.num_stores * height
+            stats.ideal_cycles += cluster.config.ntx.ideal_cycles(command) * height
+            if fast_path:
+                # The per-op executor issued the real FPU (which counts its
                 # own statistics); the fast path accounts them wholesale.
                 fpu_stats = ntx.fpu.stats
-                fpu_stats.issues += plan.total
-                fpu_stats.writebacks += plan.num_stores
+                fpu_stats.issues += plan.total * height
+                fpu_stats.writebacks += plan.num_stores * height
                 if command.opcode is NtxOpcode.MAC:
-                    fpu_stats.macs += plan.total
+                    fpu_stats.macs += plan.total * height
                 elif command.opcode in (
                     NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX,
                     NtxOpcode.ARGMIN, NtxOpcode.RELU, NtxOpcode.THRESHOLD,
                 ):
-                    fpu_stats.comparisons += plan.total
+                    fpu_stats.comparisons += plan.total * height
+
+
+class _ImageTcdm:
+    """One row of a TCDM image stack, presented as a scratchpad.
+
+    The per-op executor reads and writes through ``read_f32`` /
+    ``write_f32``; this adapter serves them from the row's bytes with the
+    TCDM's own bounds check and mirrors the access counters onto the real
+    TCDM, so over the live one-row stack it is indistinguishable from the
+    TCDM itself.
+    """
+
+    __slots__ = ("_bytes", "_tcdm")
+
+    def __init__(self, row: np.ndarray, tcdm) -> None:
+        self._bytes = row.view(np.uint8)
+        self._tcdm = tcdm
+
+    def _offset(self, address: int) -> int:
+        tcdm = self._tcdm
+        tcdm.bank_accesses[tcdm.bank_of(address)] += 1
+        return tcdm.memory._offset(address, 4)
+
+    def read_f32(self, address: int) -> float:
+        self._tcdm.memory.reads += 1
+        return struct.unpack_from("<f", self._bytes, self._offset(address))[0]
+
+    def write_f32(self, address: int, value: float) -> None:
+        self._tcdm.memory.writes += 1
+        struct.pack_into(
+            "<f", self._bytes, self._offset(address), float(np.float32(value))
+        )
 
 
 def run_data_plane(
-    simulator, jobs: Sequence[Tuple[int, NtxCommand]], exact: bool = False
+    simulator,
+    jobs: Sequence[Tuple[int, NtxCommand]],
+    images: Optional[np.ndarray] = None,
+    exact: bool = False,
 ) -> None:
     """Timing-cache hook: apply ``jobs``' data effects without the cycle loop.
 
-    Used by the tile-timing memoization layer (:mod:`repro.system.memo`) when
-    a tile's timing is already cached: the data plane still executes so the
-    TCDM contents stay bit-exact, while the per-cycle simulation is skipped.
-    Statistics are accounted exactly like :func:`run_vectorized`'s data-plane
-    phase; the caller is responsible for crediting the cached active/stall
-    cycles.
+    Used on a timing-cache hit (:mod:`repro.system.memo`): the data plane
+    still executes so the TCDM contents stay bit-exact, while the per-cycle
+    simulation is skipped.  ``images`` is ``None`` for the simulator's live
+    TCDM, or the private image stack of a batch group
+    (:mod:`repro.system.batch`) whose tiles all execute ``jobs``.
+    Statistics are accounted exactly like :func:`run_vectorized`'s
+    data-plane phase; the caller credits the cached active/stall cycles.
     """
     cluster = simulator.cluster
     num_ntx = cluster.config.num_ntx
@@ -186,103 +246,7 @@ def run_data_plane(
         jobs_per_ntx[ntx_id].append(
             _CommandPlan(command, cluster.tcdm, with_banks=False)
         )
-    _run_data_plane(cluster, jobs_per_ntx, exact=exact)
-
-
-class _ImageTcdm:
-    """Adapter presenting one tile's private TCDM image as a scratchpad.
-
-    The per-op fallback executor reads and writes through ``read_f32`` /
-    ``write_f32``; this adapter serves those from the tile's image row while
-    mirroring the access counters onto the real TCDM, so a batched group
-    that falls back per tile accounts exactly like the unbatched path.
-    """
-
-    __slots__ = ("_view", "_base", "_tcdm")
-
-    def __init__(self, view: np.ndarray, tcdm) -> None:
-        self._view = view
-        self._base = tcdm.base
-        self._tcdm = tcdm
-
-    def read_f32(self, address: int) -> float:
-        tcdm = self._tcdm
-        tcdm.bank_accesses[tcdm.bank_of(address)] += 1
-        tcdm.memory.reads += 1
-        return float(self._view[(address - self._base) >> 2])
-
-    def write_f32(self, address: int, value: float) -> None:
-        tcdm = self._tcdm
-        tcdm.bank_accesses[tcdm.bank_of(address)] += 1
-        tcdm.memory.writes += 1
-        self._view[(address - self._base) >> 2] = np.float32(value)
-
-
-def run_data_plane_batched(
-    simulator, jobs: Sequence[Tuple[int, NtxCommand]], images: np.ndarray
-) -> None:
-    """Replay one tile program over a stack of private TCDM images at once.
-
-    ``images`` holds one float32 word-view row per tile of a batch group
-    (see :mod:`repro.system.batch`); every tile executes the same ``jobs``
-    in the same order, so each command becomes one stacked NumPy dispatch
-    (:func:`repro.core.vecops.execute_streams_batched`) instead of one
-    dispatch per tile.  Commands that need the exact per-op path (RAW
-    hazards, NaN comparator inputs) fall back tile by tile through
-    :class:`_ImageTcdm`, preserving bit-exactness without abandoning the
-    rest of the group.
-
-    Statistics are accounted wholesale — each command's counters multiplied
-    by the stack height — onto ``simulator.cluster``.  Aggregate system
-    totals match the per-tile path exactly; per-cluster attribution of a
-    multi-cluster group lands on the representative cluster (nothing in the
-    system reports reads the per-cluster counters).
-    """
-    cluster = simulator.cluster
-    tcdm = cluster.tcdm
-    num_ntx = cluster.config.num_ntx
-    num_tiles = images.shape[0]
-    jobs_per_ntx: List[List[_CommandPlan]] = [[] for _ in range(num_ntx)]
-    for ntx_id, command in jobs:
-        if not 0 <= ntx_id < num_ntx:
-            raise ValueError(f"NTX index {ntx_id} out of range")
-        jobs_per_ntx[ntx_id].append(_CommandPlan(command, tcdm, with_banks=False))
-    base = tcdm.base
-    for ntx_id, plans in enumerate(jobs_per_ntx):
-        ntx = cluster.ntx[ntx_id]
-        for plan in plans:
-            command = plan.command
-            fast_path = execute_streams_batched(command, plan.streams, images, base)
-            _DATA_PLANE_COMMANDS.inc(
-                num_tiles, path="fast" if fast_path else "refused"
-            )
-            if fast_path:
-                _account_accesses(tcdm, plan.streams, count=num_tiles)
-            else:
-                for tile in range(num_tiles):
-                    execute_functional(
-                        ntx, command, _ImageTcdm(images[tile], tcdm)
-                    )
-            stats = ntx.stats
-            stats.commands += num_tiles
-            stats.iterations += plan.total * num_tiles
-            stats.flops += command.flops * num_tiles
-            stats.tcdm_reads += plan.streams.num_reads * num_tiles
-            stats.tcdm_writes += plan.num_stores * num_tiles
-            stats.ideal_cycles += (
-                cluster.config.ntx.ideal_cycles(command) * num_tiles
-            )
-            if fast_path:
-                fpu_stats = ntx.fpu.stats
-                fpu_stats.issues += plan.total * num_tiles
-                fpu_stats.writebacks += plan.num_stores * num_tiles
-                if command.opcode is NtxOpcode.MAC:
-                    fpu_stats.macs += plan.total * num_tiles
-                elif command.opcode in (
-                    NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX,
-                    NtxOpcode.ARGMIN, NtxOpcode.RELU, NtxOpcode.THRESHOLD,
-                ):
-                    fpu_stats.comparisons += plan.total * num_tiles
+    _run_data_plane(cluster, jobs_per_ntx, images, exact)
 
 
 def run_vectorized(

@@ -13,7 +13,11 @@ hoisted out of the cycle loop entirely:
   and from it every AGU address, falls out of a handful of vector
   operations.
 * :func:`execute_streams` replays the command's data effects (reads, FPU
-  issues, write-backs) as array gathers, segmented reductions and scatters.
+  issues, write-backs) as array gathers, segmented reductions and scatters
+  over a stack of TCDM images with a leading tile axis.  It is the one
+  data-plane kernel: a single tile's live TCDM is a one-row stack, and a
+  batch group of cache-hit tiles (:mod:`repro.system.batch`) is a stack of
+  private images, so per-tile and batched replay run the same code.
   Commands whose address pattern could make a read observe an *earlier*
   store of the same command (a read-after-write hazard inside one command)
   are detected and executed through the exact per-op path instead.  On the
@@ -36,16 +40,22 @@ import numpy as np
 
 from repro.core.commands import NUM_LOOPS, InitSource, NtxCommand, NtxOpcode
 from repro.core.controller import NtxController
+from repro.obs import metrics as _metrics
 
-__all__ = [
-    "CommandStreams",
-    "command_streams",
-    "execute_streams",
-    "execute_streams_batched",
-]
+__all__ = ["CommandStreams", "command_streams", "execute_streams"]
+
+_REFUSALS = _metrics.counter(
+    "repro_data_plane_refusals_total",
+    "Array-replay refusals, by reason: off_image (a stream leaves the TCDM "
+    "image or is unaligned), raw_hazard (a read observes an earlier store "
+    "of the same command) or nan_comparator (a NaN input to a comparator "
+    "reduction)",
+    labelnames=("reason",),
+)
 
 _ADDRESS_MASK = (1 << 32) - 1
 _WORD = 4
+_COMPARATORS = (NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX, NtxOpcode.ARGMIN)
 
 
 @dataclass
@@ -196,63 +206,72 @@ def _raw_hazard(streams: CommandStreams) -> bool:
     )
 
 
-def _in_tcdm(tcdm, addresses: Optional[np.ndarray]) -> bool:
+def _on_image(base: int, words: int, addresses: Optional[np.ndarray]) -> bool:
+    """Whether every address is a word-aligned word of a TCDM image."""
     if addresses is None or len(addresses) == 0:
         return True
-    base, size = tcdm.base, tcdm.size
+    size = words * _WORD
     return bool(
         np.all((addresses >= base) & (addresses + _WORD <= base + size))
         and np.all((addresses - base) % _WORD == 0)
     )
 
 
-def execute_streams(command: NtxCommand, streams: CommandStreams, tcdm) -> bool:
-    """Replay ``command``'s data effects against ``tcdm`` with array ops.
+def execute_streams(
+    command: NtxCommand, streams: CommandStreams, images: np.ndarray, base: int
+) -> bool:
+    """Replay ``command``'s data effects over a stack of TCDM images at once.
+
+    ``images`` is a float32 array of shape ``(tiles, tcdm_words)``: one row
+    per tile, each row a word view of that tile's scratchpad (``base`` is
+    the TCDM base address the command's streams are relative to).  A single
+    tile's live TCDM is the one-row stack ``tcdm.memory.words()[None, :]``,
+    a writable view, so its stores land in place.  Every row executes the
+    same command stream over its own data, so each gather, reduction and
+    scatter is one NumPy dispatch with a leading tile axis, and a row's
+    result does not depend on the stack it rides in.
 
     Returns ``False`` when the command needs the exact per-op path (RAW
-    hazard inside the command, addresses outside the TCDM, unaligned
-    streams, or NaN inputs to a comparator reduction); the caller then
-    falls back to the functional executor.  Returns ``True`` on success,
-    with every store applied and the TCDM access counters updated.
+    hazard inside the command, addresses off the image or unaligned, or a
+    NaN input to a comparator reduction anywhere in the stack); the refusal
+    is counted by reason, once per row, and the caller then runs the
+    functional executor.  No access counters are touched here; the caller
+    accounts them for the whole stack.
     """
+    height, words = images.shape
     for addresses in (streams.read0, streams.read1, streams.init_read_addrs,
                       streams.store_addrs):
-        if not _in_tcdm(tcdm, addresses):
+        if not _on_image(base, words, addresses):
+            _REFUSALS.inc(height, reason="off_image")
             return False
     if _raw_hazard(streams):
+        _REFUSALS.inc(height, reason="raw_hazard")
         return False
-    view = tcdm.memory.words()
 
-    base = tcdm.base
-    a = view[(streams.read0 - base) >> 2] if streams.read0 is not None else None
-    b = view[(streams.read1 - base) >> 2] if streams.read1 is not None else None
+    a = images[:, (streams.read0 - base) >> 2] if streams.read0 is not None else None
+    b = images[:, (streams.read1 - base) >> 2] if streams.read1 is not None else None
     init_values = (
-        view[(streams.init_read_addrs - base) >> 2].astype(np.float64)
+        images[:, (streams.init_read_addrs - base) >> 2].astype(np.float64)
         if streams.init_read_addrs is not None
         else None
     )
 
-    opcode = command.opcode
-    if opcode in (NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
-        if a is not None and np.any(np.isnan(a)):
-            return False
-
-    values = _compute_stores(command, streams, a, b, init_values)
-    if values is None:
+    if command.opcode in _COMPARATORS and np.any(np.isnan(a)):
+        _REFUSALS.inc(height, reason="nan_comparator")
         return False
 
+    values = _compute_stores(command, streams, height, a, b, init_values)
     if len(streams.store_addrs):
-        # Duplicate store addresses resolve in program order (store_ts is
-        # ascending and NumPy fancy assignment applies left to right).
-        view[(streams.store_addrs - base) >> 2] = values
-
-    _account_accesses(tcdm, streams)
+        # Duplicate store addresses resolve in program order per row
+        # (store_ts is ascending and NumPy fancy assignment applies left
+        # to right).
+        images[:, (streams.store_addrs - base) >> 2] = values
     return True
 
 
 def _blocks(streams: CommandStreams, data: np.ndarray) -> np.ndarray:
-    """Reshape a per-iteration array into (init blocks, block length)."""
-    return data.reshape(-1, streams.period_init)
+    """Reshape a (tiles, iterations) array into (tiles, blocks, block len)."""
+    return data.reshape(data.shape[0], -1, streams.period_init)
 
 
 def _store_columns(streams: CommandStreams) -> np.ndarray:
@@ -264,13 +283,18 @@ def _store_columns(streams: CommandStreams) -> np.ndarray:
 def _compute_stores(
     command: NtxCommand,
     streams: CommandStreams,
+    height: int,
     a: Optional[np.ndarray],
     b: Optional[np.ndarray],
     init_values: Optional[np.ndarray],
-) -> Optional[np.ndarray]:
-    """The binary32 value of every write-back, in store order."""
+) -> np.ndarray:
+    """The binary32 value of every write-back: ``(height, stores)``.
+
+    Reductions run along the innermost (block) axis, so each row is
+    bit-for-bit what the same formula yields for that tile alone.
+    """
     if not len(streams.store_ts):
-        return np.empty(0, dtype=np.float32)
+        return np.empty((height, 0), dtype=np.float32)
     opcode = command.opcode
     scalar = np.float32(command.scalar)
     columns = _store_columns(streams)
@@ -280,40 +304,20 @@ def _compute_stores(
         # running sum differs from the partial-carry-save accumulator — by
         # at most one float64 rounding per added product.
         products = _blocks(streams, a.astype(np.float64) * b.astype(np.float64))
-        running = np.cumsum(products, axis=1)
+        running = np.cumsum(products, axis=2)
         if init_values is not None:
-            running = running + init_values.astype(np.float32)[:, None].astype(np.float64)
-        return running[:, columns].reshape(-1).astype(np.float32)
-
-    if opcode in (NtxOpcode.MUL, NtxOpcode.ADD, NtxOpcode.SUB, NtxOpcode.MASK,
-                  NtxOpcode.RELU, NtxOpcode.THRESHOLD, NtxOpcode.COPY,
-                  NtxOpcode.FILL):
-        zero = np.float32(0.0)
-        if opcode is NtxOpcode.MUL:
-            element = a * b
-        elif opcode is NtxOpcode.ADD:
-            element = a + b
-        elif opcode is NtxOpcode.SUB:
-            element = a - b
-        elif opcode is NtxOpcode.MASK:
-            element = np.where(b != zero, a, zero)
-        elif opcode is NtxOpcode.RELU:
-            element = np.where(a > zero, a, zero)
-        elif opcode is NtxOpcode.THRESHOLD:
-            element = np.where(a > scalar, np.float32(1.0), zero)
-        elif opcode is NtxOpcode.COPY:
-            element = a
-        else:  # FILL
-            element = np.full(streams.total, scalar, dtype=np.float32)
-        return _blocks(streams, element.astype(np.float32))[:, columns].reshape(-1)
+            running = running + init_values.astype(np.float32)[
+                :, :, None
+            ].astype(np.float64)
+        return running[:, :, columns].reshape(height, -1).astype(np.float32)
 
     if opcode in (NtxOpcode.MAX, NtxOpcode.MIN):
         blocks = _blocks(streams, a)
         accumulate = np.maximum if opcode is NtxOpcode.MAX else np.minimum
-        running = accumulate.accumulate(blocks, axis=1)
+        running = accumulate.accumulate(blocks, axis=2)
         if init_values is not None:
-            running = accumulate(running, init_values.astype(np.float32)[:, None])
-        return running[:, columns].reshape(-1).astype(np.float32)
+            running = accumulate(running, init_values.astype(np.float32)[:, :, None])
+        return running[:, :, columns].reshape(height, -1).astype(np.float32)
 
     if opcode in (NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
         blocks = _blocks(streams, a)
@@ -321,25 +325,42 @@ def _compute_stores(
         # The comparator starts without an extremum (an AGU2 init value only
         # seeds MAX/MIN, not the index search), so the first element of a
         # block always becomes the initial best.
-        seed = np.full((blocks.shape[0], 1), -np.inf, dtype=signed.dtype)
+        seed = np.full((*signed.shape[:2], 1), -np.inf, dtype=signed.dtype)
         # Strictly-greater-than-all-previous elements become the new best;
         # ties keep the earliest index.
-        prefix = np.maximum.accumulate(np.concatenate([seed, signed], axis=1), axis=1)
-        is_new = signed > prefix[:, :-1]
-        indices = np.arange(blocks.shape[1], dtype=np.int64)[None, :]
-        best = np.maximum.accumulate(np.where(is_new, indices, -1), axis=1)
+        prefix = np.maximum.accumulate(np.concatenate([seed, signed], axis=2), axis=2)
+        is_new = signed > prefix[:, :, :-1]
+        indices = np.arange(signed.shape[2], dtype=np.int64)[None, None, :]
+        best = np.maximum.accumulate(np.where(is_new, indices, -1), axis=2)
         best = np.maximum(best, 0)
-        return best[:, columns].reshape(-1).astype(np.float32)
+        return best[:, :, columns].reshape(height, -1).astype(np.float32)
 
-    return None  # pragma: no cover - enum is exhaustive
+    zero = np.float32(0.0)
+    if opcode is NtxOpcode.MUL:
+        element = a * b
+    elif opcode is NtxOpcode.ADD:
+        element = a + b
+    elif opcode is NtxOpcode.SUB:
+        element = a - b
+    elif opcode is NtxOpcode.MASK:
+        element = np.where(b != zero, a, zero)
+    elif opcode is NtxOpcode.RELU:
+        element = np.where(a > zero, a, zero)
+    elif opcode is NtxOpcode.THRESHOLD:
+        element = np.where(a > scalar, np.float32(1.0), zero)
+    elif opcode is NtxOpcode.COPY:
+        element = a
+    else:  # FILL reads nothing: the stack height alone sizes its result
+        element = np.full((height, streams.total), scalar, dtype=np.float32)
+    blocks = _blocks(streams, element.astype(np.float32))
+    return blocks[:, :, columns].reshape(height, -1)
 
 
-def _account_accesses(tcdm, streams: CommandStreams, count: int = 1) -> None:
+def _account_accesses(tcdm, streams: CommandStreams, count: int) -> None:
     """Mirror the per-access counters the scalar data path maintains.
 
-    ``count`` multiplies the whole command's access pattern — the batched
-    replay path accounts one command executed over ``count`` stacked tiles
-    in a single call.
+    ``count`` multiplies the whole command's access pattern: one call
+    accounts a command executed over a stack of ``count`` tiles.
     """
     num_banks = tcdm.config.num_banks
     base = tcdm.base
@@ -352,162 +373,6 @@ def _account_accesses(tcdm, streams: CommandStreams, count: int = 1) -> None:
     tcdm.bank_accesses += counts * count
     tcdm.memory.reads += streams.num_reads * count
     tcdm.memory.writes += streams.num_stores * count
-
-
-# --------------------------------------------------------------------------- #
-# Batched (tile-axis) functional execution                                    #
-# --------------------------------------------------------------------------- #
-
-
-def _in_image(base: int, words: int, addresses: Optional[np.ndarray]) -> bool:
-    """Whether every address is a word-aligned TCDM-image word."""
-    if addresses is None or len(addresses) == 0:
-        return True
-    size = words * _WORD
-    return bool(
-        np.all((addresses >= base) & (addresses + _WORD <= base + size))
-        and np.all((addresses - base) % _WORD == 0)
-    )
-
-
-def execute_streams_batched(
-    command: NtxCommand, streams: CommandStreams, images: np.ndarray, base: int
-) -> bool:
-    """Replay one command over a stack of private TCDM images at once.
-
-    ``images`` is a float32 array of shape ``(tiles, tcdm_words)``: one row
-    per tile of a batch group, each row a word-view of that tile's private
-    scratchpad image (``base`` is the TCDM base address the command's
-    streams are relative to).  Every tile of a group executes the *same*
-    command stream over *different* data, so the scalar gathers/compute/
-    scatters of :func:`execute_streams` lift directly to one extra leading
-    axis — one NumPy dispatch instead of one per tile.
-
-    Returns ``False`` when the command needs the exact per-op path (same
-    conditions as :func:`execute_streams`: RAW hazard, addresses off the
-    image, or a NaN input to a comparator reduction anywhere in the stack);
-    the caller then falls back to per-tile functional execution.  No access
-    counters are touched here — the caller accounts them wholesale.
-    """
-    words = images.shape[1]
-    for addresses in (streams.read0, streams.read1, streams.init_read_addrs,
-                      streams.store_addrs):
-        if not _in_image(base, words, addresses):
-            return False
-    if _raw_hazard(streams):
-        return False
-
-    a = images[:, (streams.read0 - base) >> 2] if streams.read0 is not None else None
-    b = images[:, (streams.read1 - base) >> 2] if streams.read1 is not None else None
-    init_values = (
-        images[:, (streams.init_read_addrs - base) >> 2].astype(np.float64)
-        if streams.init_read_addrs is not None
-        else None
-    )
-
-    opcode = command.opcode
-    if opcode in (NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
-        if a is not None and np.any(np.isnan(a)):
-            return False
-
-    values = _compute_stores_batched(command, streams, a, b, init_values)
-    if values is None:
-        return False
-
-    if len(streams.store_addrs):
-        # Duplicate store addresses resolve left to right per tile, exactly
-        # like the unbatched scatter (store_ts is ascending).
-        images[:, (streams.store_addrs - base) >> 2] = values
-    return True
-
-
-def _blocks_batched(streams: CommandStreams, data: np.ndarray) -> np.ndarray:
-    """Reshape a (tiles, iterations) array into (tiles, blocks, block len)."""
-    return data.reshape(data.shape[0], -1, streams.period_init)
-
-
-def _compute_stores_batched(
-    command: NtxCommand,
-    streams: CommandStreams,
-    a: Optional[np.ndarray],
-    b: Optional[np.ndarray],
-    init_values: Optional[np.ndarray],
-) -> Optional[np.ndarray]:
-    """Tile-axis variant of :func:`_compute_stores`: (tiles, stores) values.
-
-    Every formula is the unbatched one with a leading tile axis; reductions
-    run along the innermost (block) axis, so per-tile results are bit-for-bit
-    the rows :func:`_compute_stores` would produce one tile at a time.
-    """
-    num_tiles = a.shape[0] if a is not None else (
-        init_values.shape[0] if init_values is not None else 1
-    )
-    if not len(streams.store_ts):
-        return np.empty((num_tiles, 0), dtype=np.float32)
-    opcode = command.opcode
-    scalar = np.float32(command.scalar)
-    columns = _store_columns(streams)
-
-    if opcode is NtxOpcode.MAC:
-        products = _blocks_batched(
-            streams, a.astype(np.float64) * b.astype(np.float64)
-        )
-        running = np.cumsum(products, axis=2)
-        if init_values is not None:
-            running = running + init_values.astype(np.float32)[
-                :, :, None
-            ].astype(np.float64)
-        return running[:, :, columns].reshape(num_tiles, -1).astype(np.float32)
-
-    if opcode in (NtxOpcode.MUL, NtxOpcode.ADD, NtxOpcode.SUB, NtxOpcode.MASK,
-                  NtxOpcode.RELU, NtxOpcode.THRESHOLD, NtxOpcode.COPY,
-                  NtxOpcode.FILL):
-        zero = np.float32(0.0)
-        if opcode is NtxOpcode.MUL:
-            element = a * b
-        elif opcode is NtxOpcode.ADD:
-            element = a + b
-        elif opcode is NtxOpcode.SUB:
-            element = a - b
-        elif opcode is NtxOpcode.MASK:
-            element = np.where(b != zero, a, zero)
-        elif opcode is NtxOpcode.RELU:
-            element = np.where(a > zero, a, zero)
-        elif opcode is NtxOpcode.THRESHOLD:
-            element = np.where(a > scalar, np.float32(1.0), zero)
-        elif opcode is NtxOpcode.COPY:
-            element = a
-        else:  # FILL
-            element = np.full((num_tiles, streams.total), scalar, dtype=np.float32)
-        blocks = _blocks_batched(streams, element.astype(np.float32))
-        return blocks[:, :, columns].reshape(num_tiles, -1)
-
-    if opcode in (NtxOpcode.MAX, NtxOpcode.MIN):
-        blocks = _blocks_batched(streams, a)
-        accumulate = np.maximum if opcode is NtxOpcode.MAX else np.minimum
-        running = accumulate.accumulate(blocks, axis=2)
-        if init_values is not None:
-            running = accumulate(
-                running, init_values.astype(np.float32)[:, :, None]
-            )
-        return running[:, :, columns].reshape(num_tiles, -1).astype(np.float32)
-
-    if opcode in (NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
-        blocks = _blocks_batched(streams, a)
-        signed = blocks if opcode is NtxOpcode.ARGMAX else -blocks
-        seed = np.full(
-            (signed.shape[0], signed.shape[1], 1), -np.inf, dtype=signed.dtype
-        )
-        prefix = np.maximum.accumulate(
-            np.concatenate([seed, signed], axis=2), axis=2
-        )
-        is_new = signed > prefix[:, :, :-1]
-        indices = np.arange(signed.shape[2], dtype=np.int64)[None, None, :]
-        best = np.maximum.accumulate(np.where(is_new, indices, -1), axis=2)
-        best = np.maximum(best, 0)
-        return best[:, :, columns].reshape(num_tiles, -1).astype(np.float32)
-
-    return None  # pragma: no cover - enum is exhaustive
 
 
 def execute_functional(ntx, command: NtxCommand, memory) -> None:

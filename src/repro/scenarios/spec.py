@@ -10,8 +10,9 @@ scenario run`` resolves, and what the benchmark harness iterates; the
 same spec therefore *is* the reproduction recipe for a measurement.
 
 Validation happens at construction: unknown workload families and engine
-names raise ``ValueError`` listing the valid choices, so a typo fails
-before any simulation starts.
+names raise ``ValueError`` listing the valid choices, and the family's
+builder runs once per shape, so a typo or a shape it rejects fails before
+any simulation starts.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ from repro.cluster.engine import DEFAULT_ENGINE, get_engine
 from repro.system.config import SystemConfig
 
 __all__ = ["ScenarioSpec"]
+
+#: ``(family, repr(merged params), cluster config)`` of every shape whose
+#: builder already accepted it.  Specs that differ only in seed, name or
+#: geometry (every daemon job, every campaign point of one shape) then
+#: validate once per process instead of once per construction.
+_BUILT_SHAPES: set = set()
 
 
 def _normalize(value):
@@ -85,9 +92,13 @@ class ScenarioSpec:
         if self.num_tiles < 0:
             raise ValueError("tile count must be non-negative")
         merged = self.merged_params()  # unknown shape parameters fail here too
-        validate = FAMILIES[self.family].validate
-        if validate is not None:
-            validate(merged)  # families may reject bad shapes at spec time
+        cluster = self.system_config().cluster
+        shape = (self.family, repr(merged), cluster)
+        if shape not in _BUILT_SHAPES:
+            # Building the family's template (and discarding it) rejects a
+            # bad shape here, before any simulation or server job starts.
+            FAMILIES[self.family].builder(merged, cluster)
+            _BUILT_SHAPES.add(shape)
 
     # -- derived objects -----------------------------------------------------
 

@@ -148,12 +148,9 @@ class WorkloadFamily:
     name: str
     description: str
     default_params: Dict[str, Any]
-    #: ``builder(merged params, cluster) -> (template, draw)``.
+    #: ``builder(merged params, cluster) -> (template, draw)``; pure, so
+    #: ``ScenarioSpec`` also calls it at construction to validate a shape.
     builder: Callable[[Dict[str, Any], ClusterConfig], Tuple[_Template, _Draw]]
-    #: Optional merged-params validator run at ``ScenarioSpec`` construction
-    #: (the compiled families use it so a bad declarative spec raises the
-    #: documented ``ValueError`` before any simulation starts).
-    validate: Optional[Callable[[Dict[str, Any]], None]] = None
 
 
 # --------------------------------------------------------------------------- #
@@ -637,14 +634,6 @@ def _pipeline(params: Dict[str, Any], cluster: ClusterConfig) -> Tuple[_Template
     return template, draw
 
 
-def _validate_stencil_params(params: Dict[str, Any]) -> None:
-    StencilSpec.from_params(params)
-
-
-def _validate_pipeline_params(params: Dict[str, Any]) -> None:
-    PipelineSpec.from_params(params)
-
-
 # --------------------------------------------------------------------------- #
 # Family registry                                                              #
 # --------------------------------------------------------------------------- #
@@ -699,7 +688,6 @@ FAMILIES: Dict[str, WorkloadFamily] = {
                 "boundary": "valid",
             },
             builder=_compiled_stencil,
-            validate=_validate_stencil_params,
         ),
         WorkloadFamily(
             name="pipeline",
@@ -718,7 +706,6 @@ FAMILIES: Dict[str, WorkloadFamily] = {
                 ),
             },
             builder=_pipeline,
-            validate=_validate_pipeline_params,
         ),
     )
 }

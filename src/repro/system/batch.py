@@ -14,8 +14,11 @@ all walk the same command streams.  This module stacks them:
    inputs of all member tiles are gathered into a ``(tiles, tcdm_words)``
    float32 image stack with one fancy-index per transfer row, the engine
    replays the shared command stream over the whole stack at once
-   (:meth:`~repro.cluster.engine.Engine.run_data_plane_batched`), and the
-   outputs scatter back to each member's HMC region;
+   (:meth:`~repro.cluster.sim.ClusterSimulator.run_data_plane` with the
+   stack, the same data-plane kernel the per-tile path runs over its live
+   TCDM), and the outputs scatter back to each member's HMC region.
+   Every group replays this way, a one-tile group and the scalar engine's
+   exact per-op replay included;
 3. cache misses still run the full cycle simulation immediately, in the
    exact order the sequential dispatcher would, so hit/miss accounting and
    cached timings are identical.
@@ -51,7 +54,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.engine import get_engine
 from repro.cluster.sim import ClusterSimulator
 from repro.cluster.tiling import TileSchedule
 from repro.core.vecops import CommandStreams, command_streams
@@ -286,13 +288,11 @@ def run_cluster_groups_batched(
     Cache misses execute the full cycle simulation inline, walking tiles
     in the same (cluster, position) order as the sequential dispatcher, so
     hit/miss counters and discovered cache entries match it exactly.
-    Hits are deferred into batch groups; groups of at least two tiles on a
-    batch-capable engine replay as one stacked dispatch, everything else
-    replays through the ordinary per-tile hit path.
+    Hits are deferred into batch groups, and each group replays as one
+    stacked dispatch.
     """
     from repro.system.simulator import ClusterReport
 
-    engine = get_engine(config.engine)
     cluster_cfg = config.cluster
     num_ntx = cluster_cfg.num_ntx
     core_ratio = cluster_cfg.ntx_frequency_hz / cluster_cfg.core_frequency_hz
@@ -366,54 +366,18 @@ def run_cluster_groups_batched(
                 group.members.append(_Member(work_index, position, tile))
 
     # -- phase C: replay the deferred hit groups ---------------------------
-    batchable = getattr(engine, "supports_batched_replay", False)
     for group in groups.values():
-        if batchable and len(group.members) >= 2:
-            _BATCH_GROUPS.inc()
-            _BATCH_TILES.inc(len(group.members))
-            with _trace.span("batched-group", tiles=len(group.members)):
-                _replay_group_batched(config, work, slots, group, core_ratio)
-        else:
-            for member in group.members:
-                _replay_member(config, work, slots, group, member, core_ratio)
+        _BATCH_GROUPS.inc()
+        _BATCH_TILES.inc(len(group.members))
+        with _trace.span("batched-group", tiles=len(group.members)):
+            _replay_group(config, work, slots, group, core_ratio)
 
     for slot in slots:
         slot.finish()
     return [slot.report for slot in slots]
 
 
-def _replay_member(
-    config: SystemConfig,
-    work: Sequence[ClusterAssignment],
-    slots: List[_ReportSlots],
-    group: _Group,
-    member: _Member,
-    core_ratio: float,
-) -> None:
-    """Ordinary per-tile hit replay (singleton groups, batch-less engines)."""
-    item = work[member.work_index]
-    slot = slots[member.work_index]
-    tile = member.tile
-    cached = group.cached
-    dma_cycles = 0
-    for transfer in tile.transfers_in:
-        dma_cycles += item.cluster.run_dma(transfer)
-        slot.report.dma_bytes += transfer.total_bytes
-    simulator = ClusterSimulator(item.cluster, engine=config.engine)
-    simulator.run_data_plane(group.jobs)
-    for ntx_id in range(config.cluster.num_ntx):
-        stats = item.cluster.ntx[ntx_id].stats
-        stats.active_cycles += cached.per_ntx_active[ntx_id]
-        stats.stall_cycles += cached.per_ntx_stall[ntx_id]
-    for transfer in tile.transfers_out:
-        dma_cycles += item.cluster.run_dma(transfer)
-        slot.report.dma_bytes += transfer.total_bytes
-    slot.results_by_pos[member.position] = cached.to_result()
-    slot.compute[member.position] = float(cached.cycles)
-    slot.dma[member.position] = dma_cycles * core_ratio
-
-
-def _replay_group_batched(
+def _replay_group(
     config: SystemConfig,
     work: Sequence[ClusterAssignment],
     slots: List[_ReportSlots],
@@ -458,24 +422,14 @@ def _replay_group_batched(
         _mirror_dma_stats(work, slots, members, transfer0, cycles, inbound=True)
 
     # Compute: the engine replays the shared command stream over the stack.
-    # (Only reached for engines advertising ``supports_batched_replay``,
-    # whose hook must execute the stack — the vectorized engine handles
-    # per-command exactness fallbacks internally.)
-    if tile0.commands:
-        simulator = ClusterSimulator(item0.cluster, engine=config.engine)
-        if not get_engine(config.engine).run_data_plane_batched(
-            simulator, group.jobs, images
-        ):  # pragma: no cover - contract violation of a custom engine
-            raise RuntimeError(
-                f"engine {config.engine!r} advertises batched replay but "
-                "refused a stacked group"
-            )
-        for member in members:
-            cluster = work[member.work_index].cluster
-            for ntx_id in range(config.cluster.num_ntx):
-                stats = cluster.ntx[ntx_id].stats
-                stats.active_cycles += cached.per_ntx_active[ntx_id]
-                stats.stall_cycles += cached.per_ntx_stall[ntx_id]
+    simulator = ClusterSimulator(item0.cluster, engine=config.engine)
+    simulator.run_data_plane(group.jobs, images)
+    for member in members:
+        cluster = work[member.work_index].cluster
+        for ntx_id in range(config.cluster.num_ntx):
+            stats = cluster.ntx[ntx_id].stats
+            stats.active_cycles += cached.per_ntx_active[ntx_id]
+            stats.stall_cycles += cached.per_ntx_stall[ntx_id]
 
     # Scatter: push every member's output rows back to its HMC region
     # (disjoint by the workload contract, so order cannot matter).

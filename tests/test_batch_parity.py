@@ -339,6 +339,23 @@ class TestDispatchCounter:
         _run(memoize=True, batch=True)
         assert _dispatch_counts() == {"batched": 1, "refused": 0, "per_tile": 0}
 
+    @pytest.mark.parametrize(
+        "engine, num_tiles",
+        [("scalar", 8), ("vectorized", 2)],
+        ids=["scalar-memoized", "one-member-group"],
+    )
+    def test_every_hit_group_replays_stacked(self, engine, num_tiles):
+        """A memoized scalar run and a hit group of one tile replay stacked
+        too, with HMC bytes equal to ``batch=False``."""
+        reference = _run(num_tiles=num_tiles, engine=engine, batch=False)
+        REGISTRY.set_enabled(True)
+        candidate = _run(num_tiles=num_tiles, engine=engine, batch=True)
+        assert _dispatch_counts() == {"batched": 1, "refused": 0, "per_tile": 0}
+        hits = candidate[2].cache_hits
+        assert hits > 0
+        assert REGISTRY.get("repro_batched_tiles_total").value() == hits
+        assert np.array_equal(_hmc_bytes(reference[0]), _hmc_bytes(candidate[0]))
+
     def test_gate_refusal_counts_refused(self):
         REGISTRY.set_enabled(True)
         simulator = SystemSimulator(SystemConfig())

@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench import (
     SCHEMA_VERSION,
+    MetricCheck,
     compare_documents,
     derive_baseline,
     format_document,
@@ -175,6 +176,21 @@ class TestCompare:
             )
         checks, _ = compare_documents(baseline, better)
         assert not any(check.regressed for check in checks)
+
+    @pytest.mark.parametrize(
+        "metric, baseline, current, wording",
+        [
+            ("speedup_vs_memoized", 2.11, 3.23754, "(53.4% better, tolerance 25%)"),
+            ("simulated_cycles", 2.0, 1.0, "(50.0% better, tolerance 25%)"),
+            ("simulated_cycles", 2.0, 2.6, "(30.0% worse, tolerance 25%)"),
+        ],
+        ids=["higher-is-better-improved", "lower-is-better-improved", "worse"],
+    )
+    def test_describe_states_direction_and_magnitude(
+        self, metric, baseline, current, wording
+    ):
+        check = MetricCheck("system-batched", metric, baseline, current, 0.25, False)
+        assert check.describe().endswith(wording)
 
     def test_missing_scenario_is_an_error(self, quick_documents):
         baseline = derive_baseline(quick_documents)

@@ -88,3 +88,20 @@ def test_reference_doc_is_fresh():
     assert committed == generate_reference(), (
         "docs/reference.md is stale; run python scripts/generate_docs.py"
     )
+
+
+def test_doc_check_catches_a_stale_attribute_name():
+    """``repro.x.y.Name`` must name something still in module ``x.y``'s source."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "check_doc_links", REPO / "scripts" / "check_doc_links.py"
+    )
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    assert checker.stale_name("repro.core.vecops.execute_streams") is None
+    assert checker.stale_name("repro.cluster.sim.ClusterSimulator") is None
+    assert "no_such_kernel not in src/repro/core/vecops.py" in (
+        checker.stale_name("repro.core.vecops.no_such_kernel")
+    )
+    assert "nope not in src/repro/__init__.py" in checker.stale_name("repro.nope")

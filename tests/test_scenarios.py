@@ -76,6 +76,19 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="kernel_size"):
             ScenarioSpec(name="x", family="conv", params={"kernel_size": 3})
 
+    @pytest.mark.parametrize(
+        "family, params, match",
+        [
+            ("conv", {"kernel": 20}, "kernel larger than image"),
+            ("opstream", {"opcode": "nope"}, "unknown opcode"),
+        ],
+        ids=["conv-kernel", "opstream-opcode"],
+    )
+    def test_bad_shape_rejected_at_construction(self, family, params, match):
+        """Every family's builder runs at spec time, not only at run time."""
+        with pytest.raises(ValueError, match=match):
+            ScenarioSpec(name="x", family=family, params=params)
+
     def test_params_merge_over_family_defaults(self):
         spec = ScenarioSpec(name="x", family="conv", params={"kernel": 5})
         merged = spec.merged_params()

@@ -380,6 +380,17 @@ class TestServerEndToEnd:
             urllib.request.urlopen(request, timeout=10)
         assert raw.value.code == 400
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [("conv", {"kernel": 20}), ("opstream", {"opcode": "nope"})],
+        ids=["conv-kernel", "opstream-opcode"],
+    )
+    def test_bad_shape_is_rejected_at_submission(self, server, family, params):
+        spec = dict(tiny_spec().to_dict(), family=family, params=params)
+        with pytest.raises(ServerError) as rejected:
+            Client(server.url).submit({"kind": "scenario", "spec": spec})
+        assert rejected.value.status == 400
+
     def test_jobs_listing(self, server):
         client = Client(server.url)
         client.wait(client.submit_scenario(tiny_spec())["id"], timeout=120)
